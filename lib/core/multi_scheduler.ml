@@ -64,7 +64,8 @@ let detect_and_correct ~(force : bool) (w : Query_engine.t) (t : t)
     in
     let g =
       Dyno_obs.Span.with_span sp ~now Dyno_obs.Span.Detect
-        (Fmt.str "detect over %d view(s)" (List.length view_specs))
+        (Dyno_obs.Span.namef sp "detect over %d view(s)"
+           (List.length view_specs))
         (fun _ ->
           let td = now () in
           let g = Dep_graph.build_many view_specs (Umq.entries umq) in
@@ -82,18 +83,19 @@ let detect_and_correct ~(force : bool) (w : Query_engine.t) (t : t)
       (fun _ ->
         let tc = now () in
         let lin = Dyno_obs.Obs.lineage obs in
-        List.iter
-          (fun e ->
-            Dyno_obs.Lineage.edge lin
-              ~dep_ids:(Dep_graph.edge_dependent_ids g e)
-              ~time:tc ~detail:(Dep_graph.describe_edge g e))
-          (Dep_graph.unsafe g);
+        if Dyno_obs.Lineage.enabled lin then
+          List.iter
+            (fun e ->
+              Dyno_obs.Lineage.edge lin
+                ~dep_ids:(Dep_graph.edge_dependent_ids g e)
+                ~time:tc ~detail:(Dep_graph.describe_edge g e))
+            (Dep_graph.unsafe g);
         let r = Correct.apply umq g in
         List.iter
           (fun ids ->
             Dyno_obs.Lineage.merged lin ~ids ~time:tc
               ~detail:
-                (Fmt.str
+                (Dyno_obs.Lineage.detailf lin
                    "dependency cycle merged: %d update(s) now one batch"
                    (List.length ids)))
           r.Correct.merged_members;
@@ -244,8 +246,9 @@ let parallel_views ?(local_for = fun _ -> None) ?pool ~compensate
                (fun () ->
                  Dyno_obs.Span.with_span sp
                    ~now:(fun () -> Query_engine.now w)
-                   ~thread:(Fmt.str "view-%d" i) Dyno_obs.Span.Task
-                   (Fmt.str "maintain #%d" (Update_msg.id m))
+                   ~thread:(Dyno_obs.Span.namef sp "view-%d" i)
+                   Dyno_obs.Span.Task
+                   (Dyno_obs.Span.namef sp "maintain #%d" (Update_msg.id m))
                    (fun _ ->
                      Dyno_obs.Lineage.set_scope
                        (Dyno_obs.Obs.lineage obs)
@@ -386,14 +389,15 @@ let run ?(config = default_config) (w : Query_engine.t) (t : t)
     match Umq.head umq with
     | None -> ()
     | Some entry -> (
-        Dyno_obs.Span.set_name sp mid (Fmt.str "%a" Umq.pp_entry entry);
+        Dyno_obs.Span.set_name sp mid
+          (Dyno_obs.Span.namef sp "%a" Umq.pp_entry entry);
         Umq.clear_broken_query_flag umq;
         let t0 = Query_engine.now w in
         let eids = Umq.entry_ids entry in
         Dyno_obs.Lineage.dispatch lin ~ids:eids ~time:t0
           ~detail:
-            (Fmt.str "dispatched at queue head (%d view(s))"
-               (List.length t.views))
+            (Dyno_obs.Lineage.detailf lin
+               "dispatched at queue head (%d view(s))" (List.length t.views))
           ();
         (* Serial view-by-view probes charge the head entry's updates. *)
         Dyno_obs.Lineage.set_scope lin eids;
@@ -452,7 +456,8 @@ let run ?(config = default_config) (w : Query_engine.t) (t : t)
             Dyno_obs.Lineage.finish lin ~ids:eids ~time:(Query_engine.now w)
               ~state:Dyno_obs.Lineage.Applied
               ~detail:
-                (Fmt.str "integrated by all %d view(s)" (List.length t.views));
+                (Dyno_obs.Lineage.detailf lin "integrated by all %d view(s)"
+                   (List.length t.views));
             List.iter
               (fun v ->
                 v.applied <-
@@ -474,14 +479,16 @@ let run ?(config = default_config) (w : Query_engine.t) (t : t)
               Dyno_net.Retry.pp_unreachable u;
             let waited =
               Dyno_obs.Span.with_span sp ~now Dyno_obs.Span.Stall
-                (Fmt.str "stall on %s" u.Dyno_net.Retry.source)
+                (Dyno_obs.Span.namef sp "stall on %s" u.Dyno_net.Retry.source)
                 (fun _ ->
                   Query_engine.await_recovery w
                     ~source:u.Dyno_net.Retry.source)
             in
             stats.Stats.busy <- stats.Stats.busy +. waited;
             Dyno_obs.Lineage.stall lin ~ids:eids ~time:(Query_engine.now w)
-              ~detail:(Fmt.str "%a" Dyno_net.Retry.pp_unreachable u)
+              ~detail:
+                (Dyno_obs.Lineage.detailf lin "%a"
+                   Dyno_net.Retry.pp_unreachable u)
         | Error (Query_engine.Broken b) ->
             let dt = Query_engine.now w -. t0 in
             stats.Stats.busy <- stats.Stats.busy +. dt;
@@ -489,7 +496,8 @@ let run ?(config = default_config) (w : Query_engine.t) (t : t)
             stats.Stats.aborts <- stats.Stats.aborts + 1;
             stats.Stats.broken_queries <- stats.Stats.broken_queries + 1;
             Dyno_obs.Span.set_attr sp mid "outcome" "aborted";
-            Dyno_obs.Span.set_attr sp mid "abort_s" (Fmt.str "%.17g" dt);
+            Dyno_obs.Span.set_attr sp mid "abort_s"
+              (Dyno_obs.Span.namef sp "%.17g" dt);
             Trace.recordf trace ~time:(Query_engine.now w) Trace.Abort
               "multi-view maintenance aborted: %a"
               Dyno_source.Data_source.pp_broken b;
@@ -529,7 +537,7 @@ let run ?(config = default_config) (w : Query_engine.t) (t : t)
     end
     else begin
       Dyno_obs.Span.with_span sp ~now Dyno_obs.Span.Maintain
-        (Fmt.str "step %d" !steps)
+        (Dyno_obs.Span.namef sp "step %d" !steps)
         iteration;
       loop ()
     end

@@ -83,7 +83,7 @@ let detect_and_correct ~(force : bool) (w : Query_engine.t) (mv : Mat_view.t)
           (List.filter Update_msg.is_sc (Umq.messages umq))
       in
       Dyno_obs.Span.with_span sp ~now Dyno_obs.Span.Detect
-        (Fmt.str "detect %d node(s)" n)
+        (Dyno_obs.Span.namef sp "detect %d node(s)" n)
         (fun _ ->
           let td = now () in
           Query_engine.advance w (Cost_model.detect cost ~n ~m);
@@ -99,18 +99,19 @@ let detect_and_correct ~(force : bool) (w : Query_engine.t) (mv : Mat_view.t)
           (* Forensic provenance: every unsafe edge (the ones forcing the
              reorder) lands on the dependent updates' lineage records
              before the correction rewrites the queue. *)
-          List.iter
-            (fun e ->
-              Dyno_obs.Lineage.edge lin
-                ~dep_ids:(Dep_graph.edge_dependent_ids g e)
-                ~time:tc ~detail:(Dep_graph.describe_edge g e))
-            (Dep_graph.unsafe g);
+          if Dyno_obs.Lineage.enabled lin then
+            List.iter
+              (fun e ->
+                Dyno_obs.Lineage.edge lin
+                  ~dep_ids:(Dep_graph.edge_dependent_ids g e)
+                  ~time:tc ~detail:(Dep_graph.describe_edge g e))
+              (Dep_graph.unsafe g);
           let r = Correct.apply umq g in
           List.iter
             (fun ids ->
               Dyno_obs.Lineage.merged lin ~ids ~time:tc
                 ~detail:
-                  (Fmt.str
+                  (Dyno_obs.Lineage.detailf lin
                      "dependency cycle merged: %d update(s) now one batch"
                      (List.length ids)))
             r.Correct.merged_members;
@@ -192,7 +193,8 @@ let maintain_entry ?local ~(compensate : bool) ~(vm_mode : vm_mode)
                   stats.Stats.bytes_saved + s.Dyno_vm.Sweep.bytes_saved;
                 stats.Stats.view_commits <- stats.Stats.view_commits + 1;
                 finish Dyno_obs.Lineage.Applied
-                  (Fmt.str "view refreshed (%d probe(s), %d compensation(s))"
+                  (Dyno_obs.Lineage.detailf lin
+                     "view refreshed (%d probe(s), %d compensation(s))"
                      s.Dyno_vm.Sweep.probes s.Dyno_vm.Sweep.compensations);
                 Done
             | Dyno_vm.Vm.Irrelevant ->
@@ -223,7 +225,8 @@ let maintain_entry ?local ~(compensate : bool) ~(vm_mode : vm_mode)
               stats.Stats.batch_updates + List.length msgs;
             stats.Stats.view_commits <- stats.Stats.view_commits + 1;
             finish Dyno_obs.Lineage.Applied
-              (Fmt.str "batch of %d adapted atomically" (List.length msgs));
+              (Dyno_obs.Lineage.detailf lin "batch of %d adapted atomically"
+                 (List.length msgs));
             Done
         | Dyno_va.Batch.Aborted b -> AbortedStep b
         | Dyno_va.Batch.Unreachable u -> UnreachableStep u
@@ -249,12 +252,12 @@ let stall_and_wait (w : Query_engine.t) (stats : Stats.t) ~(t0 : float)
   Dyno_obs.Metrics.incr
     (Dyno_obs.Obs.metrics (Query_engine.obs w))
     "net.stalls";
+  let sp = Dyno_obs.Obs.spans (Query_engine.obs w) in
   let waited =
-    Dyno_obs.Span.with_span
-      (Dyno_obs.Obs.spans (Query_engine.obs w))
+    Dyno_obs.Span.with_span sp
       ~now:(fun () -> Query_engine.now w)
       Dyno_obs.Span.Stall
-      (Fmt.str "stall on %s" u.Dyno_net.Retry.source)
+      (Dyno_obs.Span.namef sp "stall on %s" u.Dyno_net.Retry.source)
       (fun _ -> Query_engine.await_recovery w ~source:u.Dyno_net.Retry.source)
   in
   stats.Stats.busy <- stats.Stats.busy +. waited
@@ -289,7 +292,8 @@ let note_merge_all (lin : Dyno_obs.Lineage.t) ~(time : float)
     (fun ids ->
       Dyno_obs.Lineage.merged lin ~ids ~time
         ~detail:
-          (Fmt.str "merge-all: %d update(s) collapsed into one batch"
+          (Dyno_obs.Lineage.detailf lin
+             "merge-all: %d update(s) collapsed into one batch"
              (List.length ids)))
     r.Correct.merged_members
 
@@ -396,7 +400,7 @@ let parallel_round ?local ?pool ~(config : config) ~(fresh : Freshness.t)
   let umq = Query_engine.umq w in
   let exec = Query_engine.executor w in
   let k = List.length members in
-  Dyno_obs.Span.set_name sp mid (Fmt.str "round of %d" k);
+  Dyno_obs.Span.set_name sp mid (Dyno_obs.Span.namef sp "round of %d" k);
   Dyno_obs.Metrics.set_gauge mx "sched.inflight" (float_of_int k);
   Dyno_obs.Metrics.observe mx "sched.antichain_size" (float_of_int k);
   Umq.clear_broken_query_flag umq;
@@ -411,7 +415,9 @@ let parallel_round ?local ?pool ~(config : config) ~(fresh : Freshness.t)
       Dyno_obs.Lineage.dispatch lin
         ~ids:[ Update_msg.id m ]
         ~time:t0
-        ~detail:(Fmt.str "dispatched into parallel round of %d (slot %d)" k i)
+        ~detail:
+          (Dyno_obs.Lineage.detailf lin
+             "dispatched into parallel round of %d (slot %d)" k i)
         ())
     members;
   let results = Array.make k None in
@@ -466,7 +472,7 @@ let parallel_round ?local ?pool ~(config : config) ~(fresh : Freshness.t)
                  Dyno_obs.Span.with_span sp
                    ~now:(fun () -> Query_engine.now w)
                    ~thread:(Update_msg.source m) Dyno_obs.Span.Task
-                   (Fmt.str "maintain #%d" (Update_msg.id m))
+                   (Dyno_obs.Span.namef sp "maintain #%d" (Update_msg.id m))
                    (fun _ ->
                      (* Scope this task's context to its update so probe
                         round-trips land on the right lineage record. *)
@@ -512,7 +518,7 @@ let parallel_round ?local ?pool ~(config : config) ~(fresh : Freshness.t)
                   ~ids:[ Update_msg.id m ]
                   ~time:(Query_engine.now w) ~state:Dyno_obs.Lineage.Applied
                   ~detail:
-                    (Fmt.str
+                    (Dyno_obs.Lineage.detailf lin
                        "view refreshed in parallel round (%d probe(s), %d \
                         compensation(s))"
                        s.Dyno_vm.Sweep.probes s.Dyno_vm.Sweep.compensations);
@@ -550,7 +556,8 @@ let parallel_round ?local ?pool ~(config : config) ~(fresh : Freshness.t)
       Dyno_obs.Lineage.stall lin
         ~ids:[ Update_msg.id m ]
         ~time:(Query_engine.now w)
-        ~detail:(Fmt.str "%a" Dyno_net.Retry.pp_unreachable u)
+        ~detail:
+          (Dyno_obs.Lineage.detailf lin "%a" Dyno_net.Retry.pp_unreachable u)
   | Some (`Aborted (b, m)) ->
       let dt = Query_engine.now w -. t0 in
       stats.Stats.busy <- stats.Stats.busy +. dt;
@@ -558,7 +565,8 @@ let parallel_round ?local ?pool ~(config : config) ~(fresh : Freshness.t)
       stats.Stats.aborts <- stats.Stats.aborts + 1;
       stats.Stats.broken_queries <- stats.Stats.broken_queries + 1;
       Dyno_obs.Span.set_attr sp mid "outcome" "aborted";
-      Dyno_obs.Span.set_attr sp mid "abort_s" (Fmt.str "%.17g" dt);
+      Dyno_obs.Span.set_attr sp mid "abort_s"
+        (Dyno_obs.Span.namef sp "%.17g" dt);
       Trace.recordf trace ~time:(Query_engine.now w) Trace.Abort
         "parallel round aborted after %.3f s: %a" dt
         Dyno_source.Data_source.pp_broken b;
@@ -854,7 +862,8 @@ let run ?(config = default_config) (w : Query_engine.t) (mv : Mat_view.t)
       end
     in
     if group_size > 1 then begin
-      Dyno_obs.Span.set_name sp mid (Fmt.str "group of %d" group_size);
+      Dyno_obs.Span.set_name sp mid
+        (Dyno_obs.Span.namef sp "group of %d" group_size);
       let msgs =
         List.filteri (fun i _ -> i < group_size) (Umq.entries umq)
         |> List.concat_map Umq.entry_messages
@@ -863,7 +872,9 @@ let run ?(config = default_config) (w : Query_engine.t) (mv : Mat_view.t)
       let t0 = Query_engine.now w in
       let gids = List.map Update_msg.id msgs in
       Dyno_obs.Lineage.dispatch lin ~ids:gids ~time:t0
-        ~detail:(Fmt.str "dispatched in a grouped sweep of %d" group_size)
+        ~detail:
+          (Dyno_obs.Lineage.detailf lin "dispatched in a grouped sweep of %d"
+             group_size)
         ();
       Dyno_obs.Lineage.set_scope lin gids;
       match
@@ -874,7 +885,9 @@ let run ?(config = default_config) (w : Query_engine.t) (mv : Mat_view.t)
           Dyno_obs.Span.set_attr sp mid "outcome" "stalled";
           stall_and_wait w stats ~t0 u;
           Dyno_obs.Lineage.stall lin ~ids:gids ~time:(Query_engine.now w)
-            ~detail:(Fmt.str "%a" Dyno_net.Retry.pp_unreachable u)
+            ~detail:
+              (Dyno_obs.Lineage.detailf lin "%a"
+                 Dyno_net.Retry.pp_unreachable u)
       | (Dyno_vm.Vm.Refreshed _ | Dyno_vm.Vm.Irrelevant) as res ->
           Dyno_obs.Span.set_attr sp mid "outcome" "done";
           stats.Stats.busy <- stats.Stats.busy +. (Query_engine.now w -. t0);
@@ -890,8 +903,8 @@ let run ?(config = default_config) (w : Query_engine.t) (mv : Mat_view.t)
                    "grouped sweep: no pivot rows in the view" )
              | _ ->
                  ( Dyno_obs.Lineage.Applied,
-                   Fmt.str "grouped sweep of %d applied atomically" group_size
-                 )
+                   Dyno_obs.Lineage.detailf lin
+                     "grouped sweep of %d applied atomically" group_size )
            in
            Dyno_obs.Lineage.finish lin ~ids:gids ~time:(Query_engine.now w)
              ~state ~detail);
@@ -905,7 +918,8 @@ let run ?(config = default_config) (w : Query_engine.t) (mv : Mat_view.t)
           stats.Stats.aborts <- stats.Stats.aborts + 1;
           stats.Stats.broken_queries <- stats.Stats.broken_queries + 1;
           Dyno_obs.Span.set_attr sp mid "outcome" "aborted";
-          Dyno_obs.Span.set_attr sp mid "abort_s" (Fmt.str "%.17g" dt);
+          Dyno_obs.Span.set_attr sp mid "abort_s"
+            (Dyno_obs.Span.namef sp "%.17g" dt);
           Trace.recordf trace ~time:(Query_engine.now w) Trace.Abort
             "grouped maintenance aborted after %.3f s: %a" dt
             Dyno_source.Data_source.pp_broken b;
@@ -935,7 +949,8 @@ let run ?(config = default_config) (w : Query_engine.t) (mv : Mat_view.t)
           match Umq.head umq with
           | None -> ()
           | Some entry -> (
-        Dyno_obs.Span.set_name sp mid (Fmt.str "%a" Umq.pp_entry entry);
+        Dyno_obs.Span.set_name sp mid
+          (Dyno_obs.Span.namef sp "%a" Umq.pp_entry entry);
         Umq.clear_broken_query_flag umq;
         let t0 = Query_engine.now w in
         Dyno_obs.Lineage.dispatch lin ~ids:(Umq.entry_ids entry) ~time:t0
@@ -955,7 +970,9 @@ let run ?(config = default_config) (w : Query_engine.t) (mv : Mat_view.t)
             stall_and_wait w stats ~t0 u;
             Dyno_obs.Lineage.stall lin ~ids:(Umq.entry_ids entry)
               ~time:(Query_engine.now w)
-              ~detail:(Fmt.str "%a" Dyno_net.Retry.pp_unreachable u)
+              ~detail:
+                (Dyno_obs.Lineage.detailf lin "%a"
+                   Dyno_net.Retry.pp_unreachable u)
         | AbortedStep b ->
             let dt = Query_engine.now w -. t0 in
             stats.Stats.busy <- stats.Stats.busy +. dt;
@@ -963,7 +980,8 @@ let run ?(config = default_config) (w : Query_engine.t) (mv : Mat_view.t)
             stats.Stats.aborts <- stats.Stats.aborts + 1;
             stats.Stats.broken_queries <- stats.Stats.broken_queries + 1;
             Dyno_obs.Span.set_attr sp mid "outcome" "aborted";
-            Dyno_obs.Span.set_attr sp mid "abort_s" (Fmt.str "%.17g" dt);
+            Dyno_obs.Span.set_attr sp mid "abort_s"
+              (Dyno_obs.Span.namef sp "%.17g" dt);
             Trace.recordf trace ~time:(Query_engine.now w) Trace.Abort
               "maintenance aborted after %.3f s: %a" dt
               Dyno_source.Data_source.pp_broken b;
@@ -1022,7 +1040,7 @@ let run ?(config = default_config) (w : Query_engine.t) (mv : Mat_view.t)
     end
     else begin
       Dyno_obs.Span.with_span sp ~now Dyno_obs.Span.Maintain
-        (Fmt.str "step %d" !steps)
+        (Dyno_obs.Span.namef sp "step %d" !steps)
         iteration;
       loop ()
     end

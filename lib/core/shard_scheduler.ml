@@ -139,11 +139,14 @@ let run ?(config = Run_config.default) ~plan (w : Query_engine.t)
       match !best with
       | None -> ()
       | Some (qi, entry, _) -> (
-          Dyno_obs.Span.set_name sp mid (Fmt.str "%a" Umq.pp_entry entry);
+          Dyno_obs.Span.set_name sp mid
+            (Dyno_obs.Span.namef sp "%a" Umq.pp_entry entry);
           clear_broken ();
           let t0 = now () in
           Dyno_obs.Lineage.dispatch lin ~ids:(Umq.entry_ids entry) ~time:t0
-            ~detail:(Fmt.str "dispatched at shard %d queue head" qi)
+            ~detail:
+              (Dyno_obs.Lineage.detailf lin
+                 "dispatched at shard %d queue head" qi)
             ();
           match
             Scheduler.maintain_entry ?local:(local_of_shard qi)
@@ -161,7 +164,9 @@ let run ?(config = Run_config.default) ~plan (w : Query_engine.t)
               Scheduler.stall_and_wait w stats ~t0 u;
               Dyno_obs.Lineage.stall lin ~ids:(Umq.entry_ids entry)
                 ~time:(now ())
-                ~detail:(Fmt.str "%a" Dyno_net.Retry.pp_unreachable u)
+                ~detail:
+                  (Dyno_obs.Lineage.detailf lin "%a"
+                     Dyno_net.Retry.pp_unreachable u)
           | Scheduler.AbortedStep b ->
               Dyno_obs.Span.set_attr sp mid "outcome" "aborted";
               charge_abort b ~t0 ~what:"shard maintenance";
@@ -202,7 +207,8 @@ let run ?(config = Run_config.default) ~plan (w : Query_engine.t)
       | [] -> serial_step mid
       | members -> (
           let k = List.length members in
-          Dyno_obs.Span.set_name sp mid (Fmt.str "shard round of %d" k);
+          Dyno_obs.Span.set_name sp mid
+            (Dyno_obs.Span.namef sp "shard round of %d" k);
           Dyno_obs.Metrics.set_gauge mx "sched.inflight" (float_of_int k);
           clear_broken ();
           let t0 = now () in
@@ -217,7 +223,8 @@ let run ?(config = Run_config.default) ~plan (w : Query_engine.t)
                 ~ids:[ Update_msg.id m ]
                 ~time:t0
                 ~detail:
-                  (Fmt.str "dispatched into shard round of %d (shard %d)" k
+                  (Dyno_obs.Lineage.detailf lin
+                     "dispatched into shard round of %d (shard %d)" k
                      (Shard.owner plan (Update_msg.source m)))
                 ())
             members;
@@ -273,7 +280,8 @@ let run ?(config = Run_config.default) ~plan (w : Query_engine.t)
                        (fun () ->
                          Dyno_obs.Span.with_span sp ~now
                            ~thread:(Update_msg.source m) Dyno_obs.Span.Task
-                           (Fmt.str "maintain #%d" (Update_msg.id m))
+                           (Dyno_obs.Span.namef sp "maintain #%d"
+                              (Update_msg.id m))
                            (fun _ ->
                              Dyno_obs.Lineage.set_scope lin
                                [ Update_msg.id m ];
@@ -331,7 +339,7 @@ let run ?(config = Run_config.default) ~plan (w : Query_engine.t)
                           ~ids:[ Update_msg.id m ]
                           ~time:(now ()) ~state:Dyno_obs.Lineage.Applied
                           ~detail:
-                            (Fmt.str
+                            (Dyno_obs.Lineage.detailf lin
                                "view refreshed in shard round (%d probe(s), \
                                 %d compensation(s))"
                                s.Dyno_vm.Sweep.probes
@@ -368,7 +376,9 @@ let run ?(config = Run_config.default) ~plan (w : Query_engine.t)
               Dyno_obs.Lineage.stall lin
                 ~ids:[ Update_msg.id m ]
                 ~time:(now ())
-                ~detail:(Fmt.str "%a" Dyno_net.Retry.pp_unreachable u)
+                ~detail:
+                  (Dyno_obs.Lineage.detailf lin "%a"
+                     Dyno_net.Retry.pp_unreachable u)
           | Some (`Aborted (b, m)) ->
               Dyno_obs.Span.set_attr sp mid "outcome" "aborted";
               charge_abort b ~t0 ~what:"sharded round";
@@ -421,7 +431,7 @@ let run ?(config = Run_config.default) ~plan (w : Query_engine.t)
                     ~ids:(List.map Update_msg.id msgs)
                     ~time:(now ())
                     ~detail:
-                      (Fmt.str
+                      (Dyno_obs.Lineage.detailf lin
                          "merge-all at cross-shard barrier: %d update(s) \
                           collapsed into one batch"
                          (List.length msgs));
@@ -433,19 +443,20 @@ let run ?(config = Run_config.default) ~plan (w : Query_engine.t)
                   Dep_graph.build (View_def.peek vd) (View_def.schemas vd)
                     snapshot
                 in
-                List.iter
-                  (fun e ->
-                    Dyno_obs.Lineage.edge lin
-                      ~dep_ids:(Dep_graph.edge_dependent_ids g e)
-                      ~time:(now ())
-                      ~detail:(Dep_graph.describe_edge g e))
-                  (Dep_graph.unsafe g);
+                if Dyno_obs.Lineage.enabled lin then
+                  List.iter
+                    (fun e ->
+                      Dyno_obs.Lineage.edge lin
+                        ~dep_ids:(Dep_graph.edge_dependent_ids g e)
+                        ~time:(now ())
+                        ~detail:(Dep_graph.describe_edge g e))
+                    (Dep_graph.unsafe g);
                 let r = Dep_graph.correct g in
                 List.iter
                   (fun ids ->
                     Dyno_obs.Lineage.merged lin ~ids ~time:(now ())
                       ~detail:
-                        (Fmt.str
+                        (Dyno_obs.Lineage.detailf lin
                            "dependency cycle merged at cross-shard barrier: \
                             %d update(s) now one batch"
                            (List.length ids)))
@@ -505,7 +516,9 @@ let run ?(config = Run_config.default) ~plan (w : Query_engine.t)
                     Scheduler.stall_and_wait w stats ~t0 u;
                     Dyno_obs.Lineage.stall lin ~ids:(Umq.entry_ids entry)
                       ~time:(now ())
-                      ~detail:(Fmt.str "%a" Dyno_net.Retry.pp_unreachable u);
+                      ~detail:
+                        (Dyno_obs.Lineage.detailf lin "%a"
+                           Dyno_net.Retry.pp_unreachable u);
                     process (entry :: rest)
                 | Scheduler.AbortedStep b ->
                     charge_abort b ~t0 ~what:"barrier maintenance";
@@ -547,7 +560,7 @@ let run ?(config = Run_config.default) ~plan (w : Query_engine.t)
       end
       else begin
         Dyno_obs.Span.with_span sp ~now Dyno_obs.Span.Maintain
-          (Fmt.str "step %d" !steps)
+          (Dyno_obs.Span.namef sp "step %d" !steps)
           iteration;
         loop ()
       end

@@ -106,6 +106,11 @@ let create ?(enabled = true) ?(metrics = Metrics.disabled) () =
 let disabled = create ~enabled:false ()
 let enabled t = t.on
 
+(* A disabled recorder ignores every [~detail]; build none for it. *)
+let detailf t fmt =
+  if t.on then Fmt.str fmt
+  else Format.ikfprintf (fun _ -> "") Format.str_formatter fmt
+
 let clear t =
   if t.on then begin
     Hashtbl.reset t.by_key;

@@ -56,6 +56,10 @@ val disabled : t
 val enabled : t -> bool
 val clear : t -> unit
 
+val detailf : t -> ('a, Format.formatter, unit, string) format4 -> 'a
+(** Format a [~detail] string.  On a disabled recorder it returns [""]
+    and formats nothing: no [%a] printer runs. *)
+
 (** {1 Recording} *)
 
 val commit :

@@ -192,6 +192,13 @@ let set_name r id name =
     | None -> ()
     | Some sp -> sp.name <- name
 
+(** [namef r fmt ...] formats a span name — or, on a disabled recorder,
+    returns [""] without formatting anything (no [%a] printer runs).  Use
+    it wherever a name or attribute value is built only to be recorded. *)
+let namef r fmt =
+  if r.on then Fmt.str fmt
+  else Format.ikfprintf (fun _ -> "") Format.str_formatter fmt
+
 (** [with_span r ~now kind name f] — exception-safe bracket: begins a
     span, runs [f id], ends the span at the current simulated time even if
     [f] raises.  [now] is read again at the end so the span covers exactly

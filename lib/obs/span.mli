@@ -80,6 +80,10 @@ val end_span : recorder -> time:float -> int -> unit
 val set_attr : recorder -> int -> string -> string -> unit
 val set_name : recorder -> int -> string -> unit
 
+val namef : recorder -> ('a, Format.formatter, unit, string) format4 -> 'a
+(** Format a span name or attribute value.  On a disabled recorder it
+    returns [""] and formats nothing: no [%a] printer runs. *)
+
 val with_span :
   recorder ->
   now:(unit -> float) ->

@@ -278,17 +278,18 @@ let validate s (q : Query.t) : (unit, broken) result =
 let snapshot_at_uncached s ~version =
   let catalog = ref (Catalog.copy s.catalog) in
   let tables = Hashtbl.copy s.tables in
-  (* Deep-copy current extents so undo does not alias live data. *)
+  (* Deep-copy current extents so undo does not alias live data: every
+     relation in [tables] is private from here on (restored pre-images
+     are copied too), so each DU is undone in place, in O(|delta|). *)
   Hashtbl.iter (fun k r -> Hashtbl.replace tables k (Relation.copy r)) s.tables;
   List.iter
     (fun (v, entry) ->
       if v > version then
         match entry with
         | H_du { update; _ } ->
-            let rel_name = Update.rel update in
-            let r = Hashtbl.find tables rel_name in
-            Hashtbl.replace tables rel_name
-              (Relation.sum r (Relation.negate (Update.delta update)))
+            Relation.apply_delta_in_place
+              (Hashtbl.find tables (Update.rel update))
+              (Relation.negate (Update.delta update))
         | H_sc { sc; saved_catalog; saved_rels; _ } ->
             catalog := Catalog.copy saved_catalog;
             (* Remove post-images of touched relations… *)

@@ -151,7 +151,7 @@ let rec maintain ?(applied = []) (w : Query_engine.t) (mv : Mat_view.t)
   let sp = Dyno_obs.Obs.spans (Query_engine.obs w) in
   let now () = Query_engine.now w in
   Dyno_obs.Span.with_span sp ~now Dyno_obs.Span.Batch
-    (Fmt.str "batch of %d" (List.length msgs))
+    (Dyno_obs.Span.namef sp "batch of %d" (List.length msgs))
     (fun batch_id ->
       let outcome = maintain_unspanned ~applied w mv mk msgs in
       Dyno_obs.Span.set_attr sp batch_id "msgs"
@@ -199,12 +199,12 @@ and maintain_unspanned ~applied (w : Query_engine.t) (mv : Mat_view.t)
         (Query.name old_query) reason;
       View_undefined reason
   | sync ->
+      let sp = Dyno_obs.Obs.spans (Query_engine.obs w) in
       if prep.scs <> [] then
-        Dyno_obs.Span.with_span
-          (Dyno_obs.Obs.spans (Query_engine.obs w))
+        Dyno_obs.Span.with_span sp
           ~now:(fun () -> Query_engine.now w)
           Dyno_obs.Span.Vs
-          (Fmt.str "sync %d SC(s)" (List.length prep.scs))
+          (Dyno_obs.Span.namef sp "sync %d SC(s)" (List.length prep.scs))
           (fun _ ->
             Query_engine.advance w
               (float_of_int (List.length prep.scs)

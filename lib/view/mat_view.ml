@@ -1,9 +1,11 @@
 (** The materialized view: extent storage plus a commit log.
 
     Every successful maintenance process ends with w(MV) c(MV): the extent
-    is updated and a commit record appended.  When [track_snapshots] is on
-    (tests, consistency checking), each commit also stores a full copy of
-    the extent so that strong consistency can be verified offline. *)
+    is updated and a commit record appended.  {!refresh} mutates the
+    extent in place, in O(|delta|), so the relation {!extent} returns is
+    the live storage.  When [track_snapshots] is on (tests, consistency
+    checking), each commit also stores a full copy of the extent so that
+    strong consistency can be verified offline. *)
 
 open Dyno_relational
 
@@ -55,15 +57,20 @@ let record_commit v ~at ~maintained =
     :: v.commits
 
 (** [refresh v ~at ~maintained delta] applies a signed delta to the extent
-    and commits — the w(MV) c(MV) of a VM process.
+    in place and commits — the w(MV) c(MV) of a VM process.  The cost is
+    O(|delta|), not O(|extent|); indexes registered on the extent stay
+    alive and are maintained incrementally.
+    @raise Relation.Schema_mismatch if the delta's schema differs.
     @raise Invalid_argument if the delta drives a multiplicity negative
-    (a maintenance bug; tests rely on this tripwire). *)
+    (a maintenance bug; tests rely on this tripwire).  Either way the
+    extent and the commit log are left untouched. *)
 let refresh v ~at ~maintained delta =
-  v.extent <- Relation.apply_delta v.extent delta;
+  Relation.apply_delta_in_place v.extent delta;
   record_commit v ~at ~maintained
 
 (** [replace v ~at ~maintained extent] installs a whole new extent — used
-    by view adaptation when the definition itself changed shape. *)
+    by view adaptation when the definition itself changed shape.  The view
+    takes ownership: later refreshes mutate [extent]. *)
 let replace v ~at ~maintained extent =
   v.extent <- extent;
   record_commit v ~at ~maintained

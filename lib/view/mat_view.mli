@@ -2,7 +2,11 @@
     successful maintenance process ends with w(MV) c(MV); with snapshot
     tracking on, each commit stores a full copy of the extent and the
     definition it was built on, so strong consistency can be verified
-    offline. *)
+    offline.
+
+    The extent is refreshed {e in place}: {!extent} returns the live
+    storage, which later refreshes mutate.  A reader that needs the value
+    at one moment must {!Relation.copy} it. *)
 
 open Dyno_relational
 
@@ -19,6 +23,9 @@ type t
 val create : ?track_snapshots:bool -> View_def.t -> Relation.t -> t
 val def : t -> View_def.t
 val extent : t -> Relation.t
+(** The live extent — the same physical relation across refreshes (until
+    a {!replace}).  Copy it to keep a stable value. *)
+
 val cardinality : t -> int
 val commit_count : t -> int
 
@@ -29,13 +36,18 @@ val record_commit : t -> at:float -> maintained:int list -> unit
 (** Commit without an extent change (irrelevant updates, no-op batches). *)
 
 val refresh : t -> at:float -> maintained:int list -> Relation.t -> unit
-(** Apply a signed delta and commit — w(MV) c(MV) of a VM process.
+(** Apply a signed delta to the extent in place, in O(|delta|), and
+    commit — w(MV) c(MV) of a VM process.  Indexes registered on the
+    extent are maintained incrementally.
+    @raise Relation.Schema_mismatch if the delta's schema differs.
     @raise Invalid_argument if the delta drives a multiplicity negative
-    (a maintenance bug; tests rely on this tripwire). *)
+    (a maintenance bug; tests rely on this tripwire).  A rejected delta
+    leaves the extent and the commit log unchanged. *)
 
 val replace : t -> at:float -> maintained:int list -> Relation.t -> unit
 (** Install a whole new extent (adaptation after the definition changed
-    shape). *)
+    shape).  The view takes ownership of the relation: later refreshes
+    mutate it. *)
 
 (** {1 Applied frontier}
 

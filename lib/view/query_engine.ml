@@ -222,10 +222,9 @@ let admit_packet w ri (p : Update_msg.payload Channel.packet) =
       Dyno_obs.Lineage.arrive lin ~source:p.source ~seq:p.seq ~time:p.arrival;
       Dyno_obs.Lineage.held lin ~source:p.source ~seq:p.seq ~time:(now w);
       Dyno_obs.Metrics.incr (Dyno_obs.Obs.metrics w.obs) "umq.held";
-      Dyno_obs.Span.instant
-        (Dyno_obs.Obs.spans w.obs)
-        ~time:(now w) ~thread:p.source "umq-held"
-        (Fmt.str "seq=%d" p.seq);
+      let sp = Dyno_obs.Obs.spans w.obs in
+      Dyno_obs.Span.instant sp ~time:(now w) ~thread:p.source "umq-held"
+        (Dyno_obs.Span.namef sp "seq=%d" p.seq);
       Trace.recordf w.trace ~time:(now w) Trace.Info
         "holding out-of-order seq %d from %s" p.seq p.source
 
@@ -278,7 +277,7 @@ let deliver_due w =
       let lin = Dyno_obs.Obs.lineage w.obs in
       Dyno_obs.Lineage.commit lin ~source ~seq:version ~time:e.time
         ~sc:(match payload with Update_msg.Sc _ -> true | Update_msg.Du _ -> false)
-        ~detail:(Fmt.str "%a" Timeline.pp_event e.event);
+        ~detail:(Dyno_obs.Lineage.detailf lin "%a" Timeline.pp_event e.event);
       let report =
         Channel.send r.r_channel ~now:e.time ~source ~seq:version payload
       in
@@ -375,7 +374,7 @@ let with_rpc w ~target ~what (attempt_ok : unit -> ('a, failure) result) :
       Dyno_obs.Span.with_span sp
         ~now:(fun () -> now w)
         Dyno_obs.Span.Timeout
-        (Fmt.str "%s %s attempt %d" what target n)
+        (Dyno_obs.Span.namef sp "%s %s attempt %d" what target n)
         (fun _ -> advance w w.retry.Retry.timeout);
       w.net_wait <- w.net_wait +. w.retry.Retry.timeout;
       Trace.recordf w.trace ~time:(now w) Trace.Timeout
@@ -389,7 +388,7 @@ let with_rpc w ~target ~what (attempt_ok : unit -> ('a, failure) result) :
         Dyno_obs.Span.with_span sp
           ~now:(fun () -> now w)
           Dyno_obs.Span.Retry
-          (Fmt.str "%s %s backoff %d" what target n)
+          (Dyno_obs.Span.namef sp "%s %s backoff %d" what target n)
           (fun _ -> advance w backoff);
         w.net_wait <- w.net_wait +. backoff;
         w.retries <- w.retries + 1;
@@ -412,12 +411,18 @@ let with_rpc w ~target ~what (attempt_ok : unit -> ('a, failure) result) :
     "committed before the query is answered" (Definition 2), which is what
     makes compensation necessary and schema conflicts observable.  The
     result-transfer cost elapses after evaluation. *)
-(* Wrap one probe (or validate) round trip in a [Probe] span, tagging its
-   outcome and feeding the [probe.rtt_s] histogram. *)
-let probe_span w ~target ~name (body : unit -> ('a, failure) result) :
+(* Wrap one probe (or validate) round trip in a [Probe] span named
+   "[what] [target]", tagging its outcome and feeding the [probe.rtt_s]
+   histogram.  The name is built only when a recorder will keep it. *)
+let probe_span w ~target ~what (body : unit -> ('a, failure) result) :
     ('a, failure) result =
   let sp = Dyno_obs.Obs.spans w.obs in
   let lin = Dyno_obs.Obs.lineage w.obs in
+  let name =
+    if Dyno_obs.Span.enabled sp || Dyno_obs.Lineage.enabled lin then
+      what ^ " " ^ target
+    else ""
+  in
   Dyno_obs.Span.with_span sp
     ~now:(fun () -> now w)
     Dyno_obs.Span.Probe name
@@ -434,7 +439,9 @@ let probe_span w ~target ~name (body : unit -> ('a, failure) result) :
       Dyno_obs.Span.set_attr sp span_id "target" target;
       Dyno_obs.Span.set_attr sp span_id "outcome" outcome;
       Dyno_obs.Lineage.probe_end lin ~time:(now w)
-        ~detail:(Fmt.str "%s %s: %s, rtt %.3fs" name target outcome (now w -. t0));
+        ~detail:
+          (Dyno_obs.Lineage.detailf lin "%s %s: %s, rtt %.3fs" name target
+             outcome (now w -. t0));
       Dyno_obs.Metrics.observe
         (Dyno_obs.Obs.metrics w.obs)
         "probe.rtt_s" (now w -. t0);
@@ -448,7 +455,7 @@ let probe_span w ~target ~name (body : unit -> ('a, failure) result) :
     pending updates committed at or before that instant. *)
 let execute_timed w (q : Query.t) ~bound ~target :
     (Dyno_source.Data_source.answer * float, failure) result =
-  probe_span w ~target ~name:(Fmt.str "probe %s" target) @@ fun () ->
+  probe_span w ~target ~what:"probe" @@ fun () ->
   Trace.recordf w.trace ~time:(now w) Trace.Query_sent "%s <- %s" target
     (Query.name q);
   let src = Dyno_source.Registry.find w.registry target in
@@ -514,7 +521,7 @@ let execute w (q : Query.t) ~bound ~target :
     change committed at any point of the maintenance window is detected
     (in-exec) before the view commits. *)
 let validate w (q : Query.t) ~target : (unit, failure) result =
-  probe_span w ~target ~name:(Fmt.str "validate %s" target) @@ fun () ->
+  probe_span w ~target ~what:"validate" @@ fun () ->
   let src = Dyno_source.Registry.find w.registry target in
   with_rpc w ~target ~what:"validate" (fun () ->
       advance w w.cost.Cost_model.query_latency;

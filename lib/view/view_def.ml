@@ -8,6 +8,8 @@
 
 open Dyno_relational
 
+type memo = ..
+
 type t = {
   mutable query : Query.t;
   mutable schemas : (string * Schema.t) list;
@@ -21,10 +23,21 @@ type t = {
           is undefined until a later change or operator intervention *)
   mutable reads : int;  (** r(VD) counter (introspection/tests) *)
   mutable writes : int;  (** w(VD) counter *)
+  mutable memos : memo list;
+      (** values derived from the current version alone (sweep plans);
+          dropped by every version bump *)
 }
 
 let create ~schemas query =
-  { query; schemas; version = 0; valid = true; reads = 0; writes = 0 }
+  {
+    query;
+    schemas;
+    version = 0;
+    valid = true;
+    reads = 0;
+    writes = 0;
+    memos = [];
+  }
 
 let schemas vd = vd.schemas
 
@@ -43,6 +56,11 @@ let version vd = vd.version
 let is_valid vd = vd.valid
 let reads vd = vd.reads
 let writes vd = vd.writes
+let memos vd = vd.memos
+
+(** [add_memo vd m] caches a value derived from the current version.
+    Coordinator-only: worker domains never see a [View_def.t]. *)
+let add_memo vd m = vd.memos <- m :: vd.memos
 
 (** [write vd ~schemas q] — the w(VD) step: installs a rewritten definition
     and the alias schemas it was derived for.  This is the in-memory
@@ -53,7 +71,8 @@ let write vd ~schemas q =
   vd.schemas <- schemas;
   vd.version <- vd.version + 1;
   vd.valid <- true;
-  vd.writes <- vd.writes + 1
+  vd.writes <- vd.writes + 1;
+  vd.memos <- []
 
 type saved = Query.t * (string * Schema.t) list * bool
 
@@ -68,13 +87,15 @@ let restore vd (query, schemas, valid) =
   vd.query <- query;
   vd.schemas <- schemas;
   vd.valid <- valid;
-  vd.version <- vd.version + 1
+  vd.version <- vd.version + 1;
+  vd.memos <- []
 
 (** [invalidate vd] marks the view undefined (no rewriting exists). *)
 let invalidate vd =
   vd.version <- vd.version + 1;
   vd.valid <- false;
-  vd.writes <- vd.writes + 1
+  vd.writes <- vd.writes + 1;
+  vd.memos <- []
 
 let name vd = Query.name vd.query
 

@@ -27,6 +27,21 @@ val is_valid : t -> bool
 val reads : t -> int
 val writes : t -> int
 
+(** {1 Derived values}
+
+    Values computed from one definition version alone — the sweep plans
+    of {!Dyno_vm.Maint_query} — cached on the definition.  Every version
+    bump ({!write}, {!restore}, {!invalidate}) drops them. *)
+
+type memo = ..
+(** Each client adds its own constructor. *)
+
+val memos : t -> memo list
+(** The values cached for the current version, newest first. *)
+
+val add_memo : t -> memo -> unit
+(** Cache a value for the current version.  Coordinator-only. *)
+
 val write : t -> schemas:(string * Schema.t) list -> Query.t -> unit
 (** The w(VD) step: install a rewritten definition and the believed
     schemas it was derived for (in-memory; the physical rewrite happens

@@ -104,9 +104,8 @@ let residual_atoms (q : Query.t) owner =
     shipped along: it selects [tr]'s needed attributes (renamed to their
     prefixed partial names) plus all partial columns, restricted by [tr]'s
     local filters and its join conditions with the already-bound aliases. *)
-let probe_query (q : Query.t) owner (tr : Query.table_ref)
-    ~(partial_schema : Schema.t) ~(bound : string list) : Query.t =
-  let needed = needed_attrs q owner tr.alias in
+let probe_query_names (q : Query.t) owner (tr : Query.table_ref) ~needed
+    ~(partial_names : string list) ~(bound : string list) : Query.t =
   if needed = [] then
     (* A relation joined without contributing any attribute: probe its
        cardinality via all attributes of the join keys; in SPJ views this
@@ -125,12 +124,9 @@ let probe_query (q : Query.t) owner (tr : Query.table_ref)
   in
   let select_p =
     List.map
-      (fun a ->
-        {
-          Query.expr = Attr.Qualified.make ~rel:partial_alias (Attr.name a);
-          as_name = Attr.name a;
-        })
-      (Schema.attrs partial_schema)
+      (fun n ->
+        { Query.expr = Attr.Qualified.make ~rel:partial_alias n; as_name = n })
+      partial_names
   in
   let joins =
     List.map
@@ -152,13 +148,17 @@ let probe_query (q : Query.t) owner (tr : Query.table_ref)
       ]
     ~where:(local_atoms q owner tr.alias @ joins)
 
-(** [initial_partial q owner tr delta] turns the delta of the maintained
-    update into the first partial result: local filters applied, needed
-    attributes projected, names prefixed. *)
-let initial_partial (q : Query.t) owner (tr : Query.table_ref)
-    (delta : Relation.t) : Relation.t =
+let probe_query q owner (tr : Query.table_ref) ~partial_schema ~bound =
+  probe_query_names q owner tr
+    ~needed:(needed_attrs q owner tr.alias)
+    ~partial_names:(Schema.names partial_schema) ~bound
+
+(** [seed_partial tr ~locals ~needed delta] turns the delta of the
+    maintained update into the first partial result: the alias's local
+    filters [locals] applied, its [needed] attributes projected, names
+    prefixed. *)
+let seed_partial (tr : Query.table_ref) ~locals ~needed (delta : Relation.t) =
   let schema = Relation.schema delta in
-  let locals = local_atoms q owner tr.alias in
   let filtered =
     if locals = [] then delta
     else
@@ -167,36 +167,20 @@ let initial_partial (q : Query.t) owner (tr : Query.table_ref)
       in
       Relation.select (fun t -> Predicate.eval resolve locals t) delta
   in
-  let needed = needed_attrs q owner tr.alias in
   let projected = Relation.project filtered needed in
   List.fold_left
     (fun r a ->
       Relation.rename_attr r ~old_name:a ~new_name:(pname tr.alias a))
     projected needed
 
-(** [final_projection q owner partial] projects the completed partial
-    result onto the view's select list, restoring output names/types. *)
-let final_projection (q : Query.t) owner (partial : Relation.t) : Relation.t =
-  let pschema = Relation.schema partial in
-  let residual = residual_atoms q owner in
-  let resolve (r : Attr.Qualified.t) =
-    Schema.index_of pschema
-      (pname (alias_of_ref owner r) (Attr.Qualified.attr r))
-  in
-  let filtered =
-    if residual = [] then partial
-    else Relation.select (fun t -> Predicate.eval resolve residual t) partial
-  in
-  let items =
-    List.map
-      (fun (it : Query.select_item) ->
-        let pos = resolve it.expr in
-        (pos, Attr.make it.as_name (Attr.ty (Schema.attr_at pschema pos))))
-      (Query.select q)
-  in
-  let out_schema = Schema.of_list (List.map snd items) in
-  let idxs = Array.of_list (List.map fst items) in
-  Relation.map_tuples out_schema (fun t -> Tuple.project_idx t idxs) filtered
+(** [initial_partial q owner tr delta] is {!seed_partial} with the
+    filters and attributes the view query gives [tr]. *)
+let initial_partial (q : Query.t) owner (tr : Query.table_ref)
+    (delta : Relation.t) : Relation.t =
+  seed_partial tr
+    ~locals:(local_atoms q owner tr.alias)
+    ~needed:(needed_attrs q owner tr.alias)
+    delta
 
 (** [fetch_query q owner tr] builds the adaptation probe for table [tr]:
     the relation's needed attributes under their own names, restricted by
@@ -253,3 +237,109 @@ let sweep_order (q : Query.t) pivot_alias =
     List.init (Array.length arr - idx - 1) (fun k -> arr.(idx + 1 + k))
   in
   left @ right
+
+(* ------------------------------------------------------------------ *)
+(* Sweep plans                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Everything above that a sweep derives from the definition alone is a
+   function of (view query, believed schemas, pivot alias) — the partial
+   result's column names too: the seed carries the pivot's prefixed
+   needed attributes, and each probe prepends the probed alias's.  So one
+   plan per definition version and pivot serves every update. *)
+
+type step = { probed : Query.table_ref; needed : string list; probe : Query.t }
+
+type plan = {
+  query : Query.t;
+  schemas : (string * Schema.t) list;
+  pivot : Query.table_ref;
+  locals : Predicate.atom list;
+  needed : string list;
+  steps : step list;
+  residual : (Tuple.t -> bool) option;
+  items : (int * string) list;
+}
+
+let build_plan (query : Query.t) schemas (pivot : Query.table_ref) : plan =
+  let owner = owner_of_schemas schemas in
+  let locals = local_atoms query owner pivot.alias in
+  let needed = needed_attrs query owner pivot.alias in
+  let prefixed alias needed = List.map (pname alias) needed in
+  (* Walk the sweep order, tracking the partial's column names. *)
+  let steps, names, _ =
+    List.fold_left
+      (fun (steps, names, bound) (tr : Query.table_ref) ->
+        let needed = needed_attrs query owner tr.alias in
+        let probe =
+          probe_query_names query owner tr ~needed ~partial_names:names ~bound
+        in
+        ( { probed = tr; needed; probe } :: steps,
+          prefixed tr.alias needed @ names,
+          tr.alias :: bound ))
+      ([], prefixed pivot.alias needed, [ pivot.alias ])
+      (sweep_order query pivot.alias)
+  in
+  let resolve (r : Attr.Qualified.t) =
+    let n = pname (alias_of_ref owner r) (Attr.Qualified.attr r) in
+    let rec go i = function
+      | [] -> raise (Schema.No_such_attribute n)
+      | x :: rest -> if String.equal x n then i else go (i + 1) rest
+    in
+    go 0 names
+  in
+  {
+    query;
+    schemas;
+    pivot;
+    locals;
+    needed;
+    steps = List.rev steps;
+    residual =
+      (match residual_atoms query owner with
+      | [] -> None
+      | atoms -> Some (Predicate.compile resolve atoms));
+    items =
+      List.map
+        (fun (it : Query.select_item) -> (resolve it.expr, it.as_name))
+        (Query.select query);
+  }
+
+type Dyno_view.View_def.memo += Sweep_plan of plan
+
+let plan (vd : Dyno_view.View_def.t) (pivot : Query.table_ref) : plan =
+  match
+    List.find_map
+      (function
+        | Sweep_plan p when String.equal p.pivot.alias pivot.alias -> Some p
+        | _ -> None)
+      (Dyno_view.View_def.memos vd)
+  with
+  | Some p -> p
+  | None ->
+      let p =
+        build_plan (Dyno_view.View_def.peek vd) (Dyno_view.View_def.schemas vd)
+          pivot
+      in
+      Dyno_view.View_def.add_memo vd (Sweep_plan p);
+      p
+
+let seed (p : plan) delta =
+  seed_partial p.pivot ~locals:p.locals ~needed:p.needed delta
+
+let project_final (p : plan) (partial : Relation.t) : Relation.t =
+  let pschema = Relation.schema partial in
+  let filtered =
+    match p.residual with
+    | None -> partial
+    | Some keep -> Relation.select keep partial
+  in
+  let out_schema =
+    Schema.of_list
+      (List.map
+         (fun (pos, name) ->
+           Attr.make name (Attr.ty (Schema.attr_at pschema pos)))
+         p.items)
+  in
+  let idxs = Array.of_list (List.map fst p.items) in
+  Relation.map_tuples out_schema (fun t -> Tuple.project_idx t idxs) filtered

@@ -66,11 +66,6 @@ val initial_partial :
 (** Turn the maintained update's delta into the first partial result:
     local filters applied, needed attributes projected, names prefixed. *)
 
-val final_projection :
-  Query.t -> (Attr.Qualified.t -> string) -> Relation.t -> Relation.t
-(** Project the completed partial result onto the view's select list
-    (applying residual atoms), restoring output names and types. *)
-
 val view_output_schema : Query.t -> (string * Schema.t) list -> Schema.t
 (** The schema of the view's extent implied by the select list and the
     believed alias schemas. *)
@@ -79,3 +74,42 @@ val sweep_order : Query.t -> string -> Query.table_ref list
 (** Aliases other than the pivot, pivot-adjacent first (walk left to the
     start of the FROM list, then right) — the SWEEP processing order that
     keeps chain joins connected. *)
+
+(** {1 Sweep plans}
+
+    Everything a sweep derives from the view definition alone, built once
+    per definition version and pivot alias and cached on the
+    {!Dyno_view.View_def.t} (every version bump drops it).  A plan is
+    immutable, so a worker domain may read one. *)
+
+type step = {
+  probed : Query.table_ref;
+  needed : string list;  (** the alias's {!needed_attrs} *)
+  probe : Query.t;  (** its {!probe_query} *)
+}
+
+type plan = private {
+  query : Query.t;  (** the definition the plan was built from *)
+  schemas : (string * Schema.t) list;  (** its believed alias schemas *)
+  pivot : Query.table_ref;
+  locals : Predicate.atom list;  (** the pivot's {!local_atoms} *)
+  needed : string list;  (** the pivot's {!needed_attrs} *)
+  steps : step list;  (** in {!sweep_order} *)
+  residual : (Tuple.t -> bool) option;
+      (** {!residual_atoms}, compiled against the final partial's columns *)
+  items : (int * string) list;
+      (** per select item: column of the final partial, output name *)
+}
+
+val plan : Dyno_view.View_def.t -> Query.table_ref -> plan
+(** The cached plan of the definition's current version for this pivot,
+    built on first use.  Coordinator-only; does not count an r(VD).
+    @raise Unsupported when an alias contributes no attribute.
+    @raise Eval.Error on unknown/ambiguous references. *)
+
+val seed : plan -> Relation.t -> Relation.t
+(** {!initial_partial} for the plan's pivot. *)
+
+val project_final : plan -> Relation.t -> Relation.t
+(** Project a completed partial result onto the view's select list
+    (applying the residual atoms), restoring output names and types. *)

@@ -53,22 +53,20 @@ type local = {
       (** accounting callback, called once per successful local sweep *)
 }
 
-(** [delta_view w ~view_query ~schemas ~pivot ~delta ~exclude] computes the
-    view delta for update [delta] against relation alias [pivot].
+(** [delta_view w ~plan ~delta ~exclude] computes the view delta for
+    update [delta] against the plan's pivot alias.
 
-    [schemas] are the alias schemas the view manager believes (last
-    synchronization); [exclude] is the id of the update message being
-    maintained (it must not compensate against itself).
+    The plan ({!Maint_query.plan}) carries the view query, the alias
+    schemas the view manager believes (last synchronization) and the
+    probe queries in sweep order; [exclude] is the id of the update
+    message being maintained (it must not compensate against itself).
 
     Returns [Ok (delta_view, stats)], or [Error _] when any probe hits a
     schema conflict or exhausts its transport retry budget. *)
 let delta_view ?(compensate = true) (w : Query_engine.t)
-    ~(view_query : Query.t) ~(schemas : (string * Schema.t) list)
-    ~(pivot : Query.table_ref) ~(delta : Relation.t) ~(exclude : int list) :
+    ~(plan : Maint_query.plan) ~(delta : Relation.t) ~(exclude : int list) :
     (Relation.t * stats, Query_engine.failure) result =
-  let owner = Maint_query.owner_of_schemas schemas in
-  let partial = ref (Maint_query.initial_partial view_query owner pivot delta) in
-  let bound = ref [ pivot.Query.alias ] in
+  let partial = ref (Maint_query.seed plan delta) in
   let stats = ref no_stats in
   let trace = Query_engine.trace w in
   let exception Failed of Query_engine.failure in
@@ -76,16 +74,13 @@ let delta_view ?(compensate = true) (w : Query_engine.t)
     if Relation.is_empty !partial then
       (* The delta is filtered out locally; nothing joins, no probes needed. *)
       Ok
-        ( Relation.create (Maint_query.view_output_schema view_query schemas),
+        ( Relation.create
+            (Maint_query.view_output_schema plan.query plan.schemas),
           !stats )
     else begin
       List.iter
-        (fun (tr : Query.table_ref) ->
-          let probe =
-            Maint_query.probe_query view_query owner tr
-              ~partial_schema:(Relation.schema !partial)
-              ~bound:!bound
-          in
+        (fun (step : Maint_query.step) ->
+          let tr = step.probed and probe = step.probe in
           let answer, answered_at =
             match
               Query_engine.execute_timed w probe
@@ -170,7 +165,8 @@ let delta_view ?(compensate = true) (w : Query_engine.t)
                           Dyno_obs.Span.Compensate (Query.name probe)
                       in
                       Dyno_obs.Span.set_attr sp sid "tuples"
-                        (string_of_int (Relation.mass contribution));
+                        (Dyno_obs.Span.namef sp "%d"
+                           (Relation.mass contribution));
                       Dyno_obs.Span.end_span sp ~time:(Query_engine.now w)
                         sid;
                       Dyno_obs.Metrics.incr
@@ -196,15 +192,14 @@ let delta_view ?(compensate = true) (w : Query_engine.t)
                             })))
               answer groups
           in
-          partial := compensated;
-          bound := tr.Query.alias :: !bound)
-        (Maint_query.sweep_order view_query pivot.Query.alias);
-      Ok (Maint_query.final_projection view_query owner !partial, !stats)
+          partial := compensated)
+        plan.steps;
+      Ok (Maint_query.project_final plan !partial, !stats)
     end
   with Failed f -> Error f
 
-(* [delta_view_local w ~view_query ~schemas ~pivot ~delta ~exclude
-    ~local] — the self-maintenance path: the same sweep as {!delta_view},
+(* [delta_view_local w ~plan ~delta ~exclude ~local] — the
+    self-maintenance path: the same sweep as {!delta_view},
     but every probe is answered by [Eval.run] over the auxiliary
     projection of the probed alias instead of a round trip through
     {!Query_engine.execute_timed}.  Returns [None] whenever any swept
@@ -233,39 +228,31 @@ let delta_view ?(compensate = true) (w : Query_engine.t)
     parks: between prepare and compute no delivery, commit or clock
     movement can change what the sweep would read. *)
 type local_input = {
-  in_query : Query.t;
-  in_schemas : (string * Schema.t) list;
-  in_pivot : Query.table_ref;
+  in_plan : Maint_query.plan;  (** read-only on the worker *)
   in_planner : Eval.plan;
   in_partial0 : Relation.t;  (** initial partial (pivot ⋈ delta, filtered) *)
-  in_auxes : (Query.table_ref * Relation.t * Relation.t list) list;
-      (** per swept alias: (table ref, auxiliary data, pending-DU deltas
-          pre-grouped by schema and summed — already filtered by the
-          exclusion set) *)
+  in_auxes : (Query.table_ref * Query.t * Relation.t * Relation.t list) list;
+      (** per swept alias, in sweep order: (table ref, probe, auxiliary data,
+          pending-DU deltas pre-grouped by schema and summed — already
+          filtered by the exclusion set) *)
 }
 
-let prepare_local (w : Query_engine.t) ~(view_query : Query.t)
-    ~(schemas : (string * Schema.t) list) ~(pivot : Query.table_ref)
+let prepare_local (w : Query_engine.t) ~(plan : Maint_query.plan)
     ~(delta : Relation.t) ~(exclude : int list) ~(local : local) :
     local_input option =
   try
-    let owner = Maint_query.owner_of_schemas schemas in
-    let order = Maint_query.sweep_order view_query pivot.Query.alias in
     (* Coverage check up front: every non-pivot alias must have current
        auxiliary data carrying all the attributes its probe needs (the
        projection may legitimately carry more — counts sum out). *)
     let auxes =
       List.map
-        (fun (tr : Query.table_ref) ->
+        (fun (step : Maint_query.step) ->
+          let tr = step.probed in
           match local.aux tr.Query.alias with
           | None -> raise Exit
           | Some r ->
               let s = Relation.schema r in
-              let needed =
-                Maint_query.needed_attrs view_query owner tr.Query.alias
-              in
-              if needed = [] || not (List.for_all (Schema.mem s) needed)
-              then raise Exit;
+              if not (List.for_all (Schema.mem s) step.needed) then raise Exit;
               (* Pending unmaintained DUs on the probed relation — all of
                  them, no answer-time cutoff: the auxiliary data already
                  reflects every delivered commit.  Partitioned by delta
@@ -291,41 +278,32 @@ let prepare_local (w : Query_engine.t) ~(view_query : Query.t)
                     insert acc)
                   [] pending
               in
-              (tr, r, List.map snd groups))
-        order
+              (tr, step.probe, r, List.map snd groups))
+        plan.steps
     in
     Some
       {
-        in_query = view_query;
-        in_schemas = schemas;
-        in_pivot = pivot;
+        in_plan = plan;
         in_planner = Query_engine.planner w;
-        in_partial0 =
-          Maint_query.initial_partial view_query owner pivot delta;
+        in_partial0 = Maint_query.seed plan delta;
         in_auxes = auxes;
       }
   with Exit | Maint_query.Unsupported _ -> None
 
 let compute_local (i : local_input) : (Relation.t * stats) option =
   try
-    let owner = Maint_query.owner_of_schemas i.in_schemas in
     let partial = ref i.in_partial0 in
     if Relation.is_empty !partial then
       (* Filtered out locally — the probed path sends no probes either. *)
       Some
         ( Relation.create
-            (Maint_query.view_output_schema i.in_query i.in_schemas),
+            (Maint_query.view_output_schema i.in_plan.query
+               i.in_plan.schemas),
           no_stats )
     else begin
-      let bound = ref [ i.in_pivot.Query.alias ] in
       let stats = ref no_stats in
       List.iter
-        (fun ((tr : Query.table_ref), aux_data, combineds) ->
-          let probe =
-            Maint_query.probe_query i.in_query owner tr
-              ~partial_schema:(Relation.schema !partial)
-              ~bound:!bound
-          in
+        (fun ((tr : Query.table_ref), probe, aux_data, combineds) ->
           let answer =
             Eval.run ~planner:i.in_planner
               ~catalog:
@@ -375,78 +353,64 @@ let compute_local (i : local_input) : (Relation.t * stats) option =
                 end)
               answer combineds
           in
-          partial := compensated;
-          bound := tr.Query.alias :: !bound)
+          partial := compensated)
         i.in_auxes;
-      Some (Maint_query.final_projection i.in_query owner !partial, !stats)
+      Some (Maint_query.project_final i.in_plan !partial, !stats)
     end
   with Eval.Error _ | Maint_query.Unsupported _ ->
     (* A local evaluation the probed path might survive (or surface as
        Broken, triggering correction) — fall back rather than guess. *)
     None
 
+(* The [Local] span of one local sweep, opened and closed at the current
+   instant: local work is not charged on the simulated clock.  Nothing is
+   formatted when spans are off. *)
+let local_span w (i : local_input) attr (value : unit -> string) =
+  let sp = Dyno_obs.Obs.spans (Query_engine.obs w) in
+  if Dyno_obs.Span.enabled sp then begin
+    let id =
+      Dyno_obs.Span.begin_span sp ~time:(Query_engine.now w)
+        Dyno_obs.Span.Local
+        (Fmt.str "local:%s:%s"
+           (Query.name i.in_plan.query)
+           i.in_plan.pivot.Query.alias)
+    in
+    Dyno_obs.Span.set_attr sp id attr (value ());
+    Dyno_obs.Span.end_span sp ~time:(Query_engine.now w) id
+  end
+
 let record_local (w : Query_engine.t) ~(local : local) (i : local_input)
     ((_, st) : Relation.t * stats) : unit =
-  let sp = Dyno_obs.Obs.spans (Query_engine.obs w) in
-  let id =
-    Dyno_obs.Span.begin_span sp ~time:(Query_engine.now w)
-      Dyno_obs.Span.Local
-      (Fmt.str "local:%s:%s" (Query.name i.in_query) i.in_pivot.Query.alias)
-  in
-  Dyno_obs.Span.set_attr sp id "probes_avoided"
-    (string_of_int st.probes_avoided);
-  Dyno_obs.Span.end_span sp ~time:(Query_engine.now w) id;
+  local_span w i "probes_avoided" (fun () -> string_of_int st.probes_avoided);
   local.note_avoided ~probes:st.probes_avoided ~bytes:st.bytes_saved;
-  Dyno_obs.Lineage.note_scope
-    (Dyno_obs.Obs.lineage (Query_engine.obs w))
-    ~time:(Query_engine.now w) ~kind:"local-answer"
+  let lin = Dyno_obs.Obs.lineage (Query_engine.obs w) in
+  Dyno_obs.Lineage.note_scope lin ~time:(Query_engine.now w)
+    ~kind:"local-answer"
     ~detail:
-      (Fmt.str
-         "self-maintenance tier answered locally: %d probe(s) avoided, \
-          %d byte(s) saved"
+      (Dyno_obs.Lineage.detailf lin
+         "self-maintenance tier answered locally: %d probe(s) avoided, %d \
+          byte(s) saved"
          st.probes_avoided st.bytes_saved)
 
-let delta_view_local (w : Query_engine.t) ~(view_query : Query.t)
-    ~(schemas : (string * Schema.t) list) ~(pivot : Query.table_ref)
+let delta_view_local (w : Query_engine.t) ~(plan : Maint_query.plan)
     ~(delta : Relation.t) ~(exclude : int list) ~(local : local) :
     (Relation.t * stats) option =
-  match
-    prepare_local w ~view_query ~schemas ~pivot ~delta ~exclude ~local
-  with
+  match prepare_local w ~plan ~delta ~exclude ~local with
   | None -> None
   | Some input ->
       if Relation.is_empty input.in_partial0 then
         (* Filtered out locally — no span, matching the probed path which
            sends no probes either. *)
-        match Maint_query.view_output_schema view_query schemas with
+        match Maint_query.view_output_schema plan.query plan.schemas with
         | s -> Some (Relation.create s, no_stats)
         | exception Maint_query.Unsupported _ -> None
-      else begin
-        let sp = Dyno_obs.Obs.spans (Query_engine.obs w) in
-        let sid =
-          Dyno_obs.Span.begin_span sp ~time:(Query_engine.now w)
-            Dyno_obs.Span.Local
-            (Fmt.str "local:%s:%s" (Query.name view_query)
-               pivot.Query.alias)
-        in
+      else (
+        (* The compute phase neither moves the clock nor records, so the
+           bookkeeping after it is what a span around it would show. *)
         match compute_local input with
-        | Some (result, st) ->
-            Dyno_obs.Span.set_attr sp sid "probes_avoided"
-              (string_of_int st.probes_avoided);
-            Dyno_obs.Span.end_span sp ~time:(Query_engine.now w) sid;
-            local.note_avoided ~probes:st.probes_avoided
-              ~bytes:st.bytes_saved;
-            Dyno_obs.Lineage.note_scope
-              (Dyno_obs.Obs.lineage (Query_engine.obs w))
-              ~time:(Query_engine.now w) ~kind:"local-answer"
-              ~detail:
-                (Fmt.str
-                   "self-maintenance tier answered locally: %d probe(s) \
-                    avoided, %d byte(s) saved"
-                   st.probes_avoided st.bytes_saved);
-            Some (result, st)
+        | Some result ->
+            record_local w ~local input result;
+            Some result
         | None ->
-            Dyno_obs.Span.set_attr sp sid "fallback" "true";
-            Dyno_obs.Span.end_span sp ~time:(Query_engine.now w) sid;
-            None
-      end
+            local_span w input "fallback" (fun () -> "true");
+            None)

@@ -37,31 +37,28 @@ type local = {
 val delta_view :
   ?compensate:bool ->
   Query_engine.t ->
-  view_query:Query.t ->
-  schemas:(string * Schema.t) list ->
-  pivot:Query.table_ref ->
+  plan:Maint_query.plan ->
   delta:Relation.t ->
   exclude:int list ->
   (Relation.t * stats, Query_engine.failure) result
-(** [delta_view w ~view_query ~schemas ~pivot ~delta ~exclude] computes
-    the view delta for [delta] against alias [pivot].  [schemas] are the
-    view manager's believed alias schemas; [exclude] lists message ids
-    whose effects must stay in the probe answers: the message being
+(** [delta_view w ~plan ~delta ~exclude] computes the view delta for
+    [delta] against the plan's pivot alias, sending the plan's probes in
+    sweep order.  The plan ({!Maint_query.plan}) fixes the view query and
+    the view manager's believed alias schemas; [exclude] lists message
+    ids whose effects must stay in the probe answers: the message being
     maintained (never compensated against itself) plus, in multi-view
     mode, every queued update this view has already applied. *)
 
 type local_input
-(** A local sweep captured at dispatch: the view query, pivot delta,
+(** A local sweep captured at dispatch: the sweep plan, pivot delta,
     auxiliary snapshots and pre-grouped pending compensation deltas —
     everything {!compute_local} needs, with no reference back to the
-    engine.  Relations inside are never mutated after capture, so the
-    value may be shipped to a worker domain. *)
+    engine.  Nothing inside is mutated after capture (the worker only
+    reads the plan), so the value may be shipped to a worker domain. *)
 
 val prepare_local :
   Query_engine.t ->
-  view_query:Query.t ->
-  schemas:(string * Schema.t) list ->
-  pivot:Query.table_ref ->
+  plan:Maint_query.plan ->
   delta:Relation.t ->
   exclude:int list ->
   local:local ->
@@ -88,9 +85,7 @@ val record_local :
 
 val delta_view_local :
   Query_engine.t ->
-  view_query:Query.t ->
-  schemas:(string * Schema.t) list ->
-  pivot:Query.table_ref ->
+  plan:Maint_query.plan ->
   delta:Relation.t ->
   exclude:int list ->
   local:local ->

@@ -29,31 +29,27 @@ exception Invalid_view of string
    commit, and the local path removes pending unmaintained updates by
    construction — with compensation off the baseline deliberately keeps
    them in, so it must keep probing. *)
-let sweep_delta ?local ~compensate w ~view_query ~schemas ~pivot ~delta
-    ~exclude =
+let sweep_delta ?local ~compensate w ~plan ~delta ~exclude =
   match local with
   | Some l when compensate -> (
-      match
-        Sweep.delta_view_local w ~view_query ~schemas ~pivot ~delta ~exclude
-          ~local:l
-      with
+      match Sweep.delta_view_local w ~plan ~delta ~exclude ~local:l with
       | Some ok -> Ok ok
-      | None ->
-          Sweep.delta_view ~compensate w ~view_query ~schemas ~pivot ~delta
-            ~exclude)
-  | _ ->
-      Sweep.delta_view ~compensate w ~view_query ~schemas ~pivot ~delta
-        ~exclude
+      | None -> Sweep.delta_view ~compensate w ~plan ~delta ~exclude)
+  | _ -> Sweep.delta_view ~compensate w ~plan ~delta ~exclude
 
-(** [maintain w mv msg du] runs one full VM process for data update [du]
-    carried by message [msg].  [local] (from the self-maintenance tier)
-    lets covered sweeps be answered without probing. *)
-let maintain ?(compensate = true) ?(applied = []) ?local
-    (w : Query_engine.t) (mv : Mat_view.t) (msg : Update_msg.t)
-    (du : Update.t) : outcome =
+(* The prelude every single-update entry point shares: view validity, the
+   r(VD) step, the pivot alias, the check that the delta is expressed
+   against the schema the view believes — a mismatch means a schema
+   change at that source overtook the view definition, a conflict VM
+   cannot handle (Dyno will reorder) — and the pivot's sweep plan. *)
+type resolved =
+  | No_pivot  (** the update's relation is not in the view *)
+  | Diverged of Dyno_source.Data_source.broken
+  | Pivot of Maint_query.plan
+
+let resolve (mv : Mat_view.t) (du : Update.t) : resolved =
   let vd = Mat_view.def mv in
-  if not (View_def.is_valid vd) then
-    raise (Invalid_view (View_def.name vd));
+  if not (View_def.is_valid vd) then raise (Invalid_view (View_def.name vd));
   let q, _version = View_def.read vd in
   let schemas = View_def.schemas vd in
   let pivots =
@@ -64,76 +60,31 @@ let maintain ?(compensate = true) ?(applied = []) ?local
       (Query.from q)
   in
   match pivots with
-  | [] ->
-      (* The update's relation is not in the view (e.g. it was replaced by
-         synchronization); the view trivially reflects it. *)
-      Mat_view.record_commit mv ~at:(Query_engine.now w)
-        ~maintained:[ Update_msg.id msg ];
-      Irrelevant
+  | [] -> No_pivot
   | _ :: _ :: _ ->
       raise
         (Maint_query.Unsupported
            (Fmt.str "relation %s@%s occurs more than once in view %s"
               (Update.rel du) (Update.source du) (Query.name q)))
   | [ pivot ] -> (
-      (* The delta must be expressed against the schema the view believes;
-         a mismatch means a schema change at that source overtook the view
-         definition — a conflict VM cannot handle (Dyno will reorder). *)
-      let believed = List.assoc_opt pivot.Query.alias schemas in
+      let diverged reason =
+        Diverged
+          {
+            Dyno_source.Data_source.source = Update.source du;
+            query_name = Query.name q;
+            reason;
+          }
+      in
       let actual = Relation.schema (Update.delta du) in
-      match believed with
+      match List.assoc_opt pivot.Query.alias schemas with
       | Some s when not (Schema.equal s actual) ->
-          Aborted
-            {
-              Dyno_source.Data_source.source = Update.source du;
-              query_name = Query.name q;
-              reason =
-                Fmt.str
-                  "delta schema %a of %s diverges from believed schema %a"
-                  Schema.pp actual (Update.rel du) Schema.pp s;
-            }
+          diverged
+            (Fmt.str "delta schema %a of %s diverges from believed schema %a"
+               Schema.pp actual (Update.rel du) Schema.pp s)
       | None ->
-          Aborted
-            {
-              Dyno_source.Data_source.source = Update.source du;
-              query_name = Query.name q;
-              reason = Fmt.str "no believed schema for alias %s" pivot.Query.alias;
-            }
-      | Some _ -> (
-          match
-            sweep_delta ?local ~compensate w ~view_query:q ~schemas ~pivot
-              ~delta:(Update.delta du)
-              ~exclude:(Update_msg.id msg :: applied)
-          with
-          | Error (Query_engine.Broken b) -> Aborted b
-          | Error (Query_engine.Unreachable u) -> Unreachable u
-          | Ok (dv, stats) ->
-              let delta_tuples = Relation.mass dv in
-              Dyno_obs.Span.with_span
-                (Dyno_obs.Obs.spans (Query_engine.obs w))
-                ~now:(fun () -> Query_engine.now w)
-                Dyno_obs.Span.Refresh (Query.name q)
-                (fun _ ->
-                  Query_engine.advance w
-                    (Dyno_sim.Cost_model.refresh (Query_engine.cost w)
-                       ~delta_tuples);
-                  Mat_view.refresh mv ~at:(Query_engine.now w)
-                    ~maintained:[ Update_msg.id msg ] dv);
-              Dyno_obs.Metrics.incr
-                (Dyno_obs.Obs.metrics (Query_engine.obs w))
-                "vm.refreshes";
-              Dyno_sim.Trace.recordf (Query_engine.trace w)
-                ~time:(Query_engine.now w) Dyno_sim.Trace.Refresh
-                "view %s += %d tuple(s) for #%d" (Query.name q) delta_tuples
-                (Update_msg.id msg);
-              Dyno_obs.Lineage.note
-                (Dyno_obs.Obs.lineage (Query_engine.obs w))
-                ~ids:[ Update_msg.id msg ]
-                ~time:(Query_engine.now w) ~kind:"refresh"
-                ~detail:
-                  (Fmt.str "view %s += %d tuple(s)" (Query.name q)
-                     delta_tuples);
-              Refreshed { delta_tuples; stats }))
+          diverged
+            (Fmt.str "no believed schema for alias %s" pivot.Query.alias)
+      | Some _ -> Pivot (Maint_query.plan vd pivot))
 
 (** The sweep half of {!maintain}, without the refresh/commit: what a
     concurrent maintenance task runs.  The refresh must mutate the view
@@ -154,55 +105,86 @@ type swept =
 let maintain_sweep ?(compensate = true) ?(applied = []) ?(exclude_extra = [])
     ?local (w : Query_engine.t) (mv : Mat_view.t) (msg : Update_msg.t)
     (du : Update.t) : swept =
-  let vd = Mat_view.def mv in
-  if not (View_def.is_valid vd) then raise (Invalid_view (View_def.name vd));
-  let q, _version = View_def.read vd in
-  let schemas = View_def.schemas vd in
-  let pivots =
-    List.filter
-      (fun (tr : Query.table_ref) ->
-        String.equal tr.source (Update.source du)
-        && String.equal tr.rel (Update.rel du))
-      (Query.from q)
+  match resolve mv du with
+  | No_pivot -> Swept_irrelevant
+  | Diverged b -> Swept_aborted b
+  | Pivot plan -> (
+      match
+        sweep_delta ?local ~compensate w ~plan ~delta:(Update.delta du)
+          ~exclude:((Update_msg.id msg :: applied) @ exclude_extra)
+      with
+      | Error (Query_engine.Broken b) -> Swept_aborted b
+      | Error (Query_engine.Unreachable u) -> Swept_unreachable u
+      | Ok (dv, stats) -> Swept (dv, stats))
+
+(* w(MV) c(MV) for a swept view delta: charge the refresh, apply [dv] in
+   place, commit, and tell the recorders.  [q] names the view in the
+   recorders' output. *)
+let refresh_view w mv ~q ~ids ~what dv =
+  let delta_tuples = Relation.mass dv in
+  let obs = Query_engine.obs w in
+  Dyno_obs.Span.with_span (Dyno_obs.Obs.spans obs)
+    ~now:(fun () -> Query_engine.now w)
+    Dyno_obs.Span.Refresh (Query.name q)
+    (fun _ ->
+      Query_engine.advance w
+        (Dyno_sim.Cost_model.refresh (Query_engine.cost w) ~delta_tuples);
+      Mat_view.refresh mv ~at:(Query_engine.now w) ~maintained:ids dv);
+  Dyno_obs.Metrics.incr (Dyno_obs.Obs.metrics obs) "vm.refreshes";
+  let lin = Dyno_obs.Obs.lineage obs in
+  (match what with
+  | `Single id ->
+      Dyno_sim.Trace.recordf (Query_engine.trace w) ~time:(Query_engine.now w)
+        Dyno_sim.Trace.Refresh "view %s += %d tuple(s) for #%d" (Query.name q)
+        delta_tuples id;
+      Dyno_obs.Lineage.note lin ~ids ~time:(Query_engine.now w)
+        ~kind:"refresh"
+        ~detail:
+          (Dyno_obs.Lineage.detailf lin "view %s += %d tuple(s)" (Query.name q)
+             delta_tuples)
+  | `Group n ->
+      Dyno_sim.Trace.recordf (Query_engine.trace w) ~time:(Query_engine.now w)
+        Dyno_sim.Trace.Refresh "view %s += %d tuple(s) for group of %d"
+        (Query.name q) delta_tuples n;
+      Dyno_obs.Lineage.note lin ~ids ~time:(Query_engine.now w)
+        ~kind:"refresh"
+        ~detail:
+          (Dyno_obs.Lineage.detailf lin "view %s += %d tuple(s) (grouped)"
+             (Query.name q) delta_tuples));
+  delta_tuples
+
+(** [commit_swept w mv msg dv stats] — the refresh half of {!maintain}
+    for a delta computed by {!maintain_sweep}: charge the refresh cost,
+    refresh and commit the view.  Serial code — called at the round
+    barrier, never inside a task. *)
+let commit_swept (w : Query_engine.t) (mv : Mat_view.t)
+    (msg : Update_msg.t) (dv : Relation.t) (stats : Sweep.stats) : outcome =
+  let id = Update_msg.id msg in
+  let delta_tuples =
+    refresh_view w mv
+      ~q:(View_def.peek (Mat_view.def mv))
+      ~ids:[ id ] ~what:(`Single id) dv
   in
-  match pivots with
-  | [] -> Swept_irrelevant
-  | _ :: _ :: _ ->
-      raise
-        (Maint_query.Unsupported
-           (Fmt.str "relation %s@%s occurs more than once in view %s"
-              (Update.rel du) (Update.source du) (Query.name q)))
-  | [ pivot ] -> (
-      let believed = List.assoc_opt pivot.Query.alias schemas in
-      let actual = Relation.schema (Update.delta du) in
-      match believed with
-      | Some s when not (Schema.equal s actual) ->
-          Swept_aborted
-            {
-              Dyno_source.Data_source.source = Update.source du;
-              query_name = Query.name q;
-              reason =
-                Fmt.str
-                  "delta schema %a of %s diverges from believed schema %a"
-                  Schema.pp actual (Update.rel du) Schema.pp s;
-            }
-      | None ->
-          Swept_aborted
-            {
-              Dyno_source.Data_source.source = Update.source du;
-              query_name = Query.name q;
-              reason =
-                Fmt.str "no believed schema for alias %s" pivot.Query.alias;
-            }
-      | Some _ -> (
-          match
-            sweep_delta ?local ~compensate w ~view_query:q ~schemas ~pivot
-              ~delta:(Update.delta du)
-              ~exclude:((Update_msg.id msg :: applied) @ exclude_extra)
-          with
-          | Error (Query_engine.Broken b) -> Swept_aborted b
-          | Error (Query_engine.Unreachable u) -> Swept_unreachable u
-          | Ok (dv, stats) -> Swept (dv, stats)))
+  Refreshed { delta_tuples; stats }
+
+(** [maintain w mv msg du] runs one full VM process for data update [du]
+    carried by message [msg]: exactly {!maintain_sweep} followed by
+    {!commit_swept} (or a bare commit record for an irrelevant update).
+    [local] (from the self-maintenance tier) lets covered sweeps be
+    answered without probing. *)
+let maintain ?(compensate = true) ?(applied = []) ?local
+    (w : Query_engine.t) (mv : Mat_view.t) (msg : Update_msg.t)
+    (du : Update.t) : outcome =
+  match maintain_sweep ~compensate ~applied ?local w mv msg du with
+  | Swept (dv, stats) -> commit_swept w mv msg dv stats
+  | Swept_irrelevant ->
+      (* The update's relation is not in the view (e.g. it was replaced by
+         synchronization); the view trivially reflects it. *)
+      Mat_view.record_commit mv ~at:(Query_engine.now w)
+        ~maintained:[ Update_msg.id msg ];
+      Irrelevant
+  | Swept_aborted b -> Aborted b
+  | Swept_unreachable u -> Unreachable u
 
 (** The dispatch-time split of {!maintain_sweep} the multicore runtime
     uses: the prelude (view validity, pivot lookup, believed-schema
@@ -222,91 +204,20 @@ type prepared =
 let prepare_sweep ?(compensate = true) ?(applied = []) ?(exclude_extra = [])
     ?local (w : Query_engine.t) (mv : Mat_view.t) (msg : Update_msg.t)
     (du : Update.t) : prepared =
-  let vd = Mat_view.def mv in
-  if not (View_def.is_valid vd) then raise (Invalid_view (View_def.name vd));
-  let q, _version = View_def.read vd in
-  let schemas = View_def.schemas vd in
-  let pivots =
-    List.filter
-      (fun (tr : Query.table_ref) ->
-        String.equal tr.source (Update.source du)
-        && String.equal tr.rel (Update.rel du))
-      (Query.from q)
-  in
-  match pivots with
-  | [] -> Settled Swept_irrelevant
-  | _ :: _ :: _ ->
-      raise
-        (Maint_query.Unsupported
-           (Fmt.str "relation %s@%s occurs more than once in view %s"
-              (Update.rel du) (Update.source du) (Query.name q)))
-  | [ pivot ] -> (
-      let believed = List.assoc_opt pivot.Query.alias schemas in
-      let actual = Relation.schema (Update.delta du) in
-      match believed with
-      | Some s when not (Schema.equal s actual) ->
-          Settled
-            (Swept_aborted
-               {
-                 Dyno_source.Data_source.source = Update.source du;
-                 query_name = Query.name q;
-                 reason =
-                   Fmt.str
-                     "delta schema %a of %s diverges from believed schema %a"
-                     Schema.pp actual (Update.rel du) Schema.pp s;
-               })
-      | None ->
-          Settled
-            (Swept_aborted
-               {
-                 Dyno_source.Data_source.source = Update.source du;
-                 query_name = Query.name q;
-                 reason =
-                   Fmt.str "no believed schema for alias %s"
-                     pivot.Query.alias;
-               })
-      | Some _ -> (
-          match local with
-          | Some l when compensate -> (
-              match
-                Sweep.prepare_local w ~view_query:q ~schemas ~pivot
-                  ~delta:(Update.delta du)
-                  ~exclude:((Update_msg.id msg :: applied) @ exclude_extra)
-                  ~local:l
-              with
-              | Some input -> Offloadable input
-              | None -> Needs_probes)
-          | _ -> Needs_probes))
-
-(** [commit_swept w mv msg dv stats] — the refresh half of {!maintain}
-    for a delta computed by {!maintain_sweep}: charge the refresh cost,
-    refresh and commit the view.  Serial code — called at the round
-    barrier, never inside a task. *)
-let commit_swept (w : Query_engine.t) (mv : Mat_view.t)
-    (msg : Update_msg.t) (dv : Relation.t) (stats : Sweep.stats) : outcome =
-  let q = View_def.peek (Mat_view.def mv) in
-  let delta_tuples = Relation.mass dv in
-  Dyno_obs.Span.with_span
-    (Dyno_obs.Obs.spans (Query_engine.obs w))
-    ~now:(fun () -> Query_engine.now w)
-    Dyno_obs.Span.Refresh (Query.name q)
-    (fun _ ->
-      Query_engine.advance w
-        (Dyno_sim.Cost_model.refresh (Query_engine.cost w) ~delta_tuples);
-      Mat_view.refresh mv ~at:(Query_engine.now w)
-        ~maintained:[ Update_msg.id msg ] dv);
-  Dyno_obs.Metrics.incr
-    (Dyno_obs.Obs.metrics (Query_engine.obs w))
-    "vm.refreshes";
-  Dyno_sim.Trace.recordf (Query_engine.trace w) ~time:(Query_engine.now w)
-    Dyno_sim.Trace.Refresh "view %s += %d tuple(s) for #%d" (Query.name q)
-    delta_tuples (Update_msg.id msg);
-  Dyno_obs.Lineage.note
-    (Dyno_obs.Obs.lineage (Query_engine.obs w))
-    ~ids:[ Update_msg.id msg ]
-    ~time:(Query_engine.now w) ~kind:"refresh"
-    ~detail:(Fmt.str "view %s += %d tuple(s)" (Query.name q) delta_tuples);
-  Refreshed { delta_tuples; stats }
+  match resolve mv du with
+  | No_pivot -> Settled Swept_irrelevant
+  | Diverged b -> Settled (Swept_aborted b)
+  | Pivot plan -> (
+      match local with
+      | Some l when compensate -> (
+          match
+            Sweep.prepare_local w ~plan ~delta:(Update.delta du)
+              ~exclude:((Update_msg.id msg :: applied) @ exclude_extra)
+              ~local:l
+          with
+          | Some input -> Offloadable input
+          | None -> Needs_probes)
+      | _ -> Needs_probes)
 
 (** [maintain_group w mv msgs] — deferred/grouped maintenance of a queue
     prefix of data updates (no schema changes): updates are merged into
@@ -408,18 +319,23 @@ let maintain_group ?(compensate = true) ?(overlap = false) ?local
       List.iter
         (fun ((_, rel), pivot, delta, _) -> check_schema pivot delta rel)
         relevant;
+      (* Plans are looked up at dispatch, on the coordinator. *)
+      let relevant =
+        List.map
+          (fun (key, pivot, delta, ids) ->
+            (key, Maint_query.plan vd pivot, delta, ids))
+          relevant
+      in
       let results = Array.make (List.length relevant) None in
       let thunks =
         let before = ref !processed in
         List.mapi
-          (fun i (_, pivot, delta, ids) ->
+          (fun i (_, plan, delta, ids) ->
             let exclude = ids @ !before in
             before := ids @ !before;
             fun () ->
               results.(i) <-
-                Some
-                  (sweep_delta ?local ~compensate w ~view_query:q ~schemas
-                     ~pivot ~delta ~exclude))
+                Some (sweep_delta ?local ~compensate w ~plan ~delta ~exclude))
           relevant
       in
       Dyno_sim.Executor.run_all exec thunks;
@@ -444,9 +360,9 @@ let maintain_group ?(compensate = true) ?(overlap = false) ?local
           | Some pivot -> (
               check_schema pivot delta rel;
               match
-                sweep_delta ?local ~compensate w ~view_query:q ~schemas
-                  ~pivot ~delta
-                  ~exclude:(ids @ !processed)
+                sweep_delta ?local ~compensate w
+                  ~plan:(Maint_query.plan vd pivot)
+                  ~delta ~exclude:(ids @ !processed)
               with
               | Error (Query_engine.Broken b) -> raise (Abort b)
               | Error (Query_engine.Unreachable u) -> raise (Stall u)
@@ -458,30 +374,9 @@ let maintain_group ?(compensate = true) ?(overlap = false) ?local
     | None ->
         Mat_view.record_commit mv ~at:(Query_engine.now w) ~maintained:all_ids
     | Some dv ->
-        Dyno_obs.Span.with_span
-          (Dyno_obs.Obs.spans (Query_engine.obs w))
-          ~now:(fun () -> Query_engine.now w)
-          Dyno_obs.Span.Refresh (Query.name q)
-          (fun _ ->
-            Query_engine.advance w
-              (Dyno_sim.Cost_model.refresh (Query_engine.cost w)
-                 ~delta_tuples:(Relation.mass dv));
-            Mat_view.refresh mv ~at:(Query_engine.now w) ~maintained:all_ids
-              dv);
-        Dyno_obs.Metrics.incr
-          (Dyno_obs.Obs.metrics (Query_engine.obs w))
-          "vm.refreshes";
-        Dyno_sim.Trace.recordf (Query_engine.trace w)
-          ~time:(Query_engine.now w) Dyno_sim.Trace.Refresh
-          "view %s += %d tuple(s) for group of %d" (Query.name q)
-          (Relation.mass dv) (List.length msgs);
-        Dyno_obs.Lineage.note
-          (Dyno_obs.Obs.lineage (Query_engine.obs w))
-          ~ids:(List.map Update_msg.id msgs)
-          ~time:(Query_engine.now w) ~kind:"refresh"
-          ~detail:
-            (Fmt.str "view %s += %d tuple(s) (grouped)" (Query.name q)
-               (Relation.mass dv)));
+        ignore
+          (refresh_view w mv ~q ~ids:all_ids
+             ~what:(`Group (List.length msgs)) dv));
     Refreshed { delta_tuples = 0; stats = Sweep.no_stats }
   with
   | Abort b -> Aborted b

@@ -124,6 +124,98 @@ let test_mat_view () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
+(* -- Mat_view: the extent is refreshed in place ---------------------- *)
+
+let kv_schema = Schema.of_list [ Attr.int "k"; Attr.int "v" ]
+
+let kv_delta rows =
+  Relation.of_counted kv_schema
+    (List.map (fun (k, v, c) -> ([ Value.int k; Value.int v ], c)) rows)
+
+let kv_view () =
+  let vd = View_def.create ~schemas:[ ("R", kv_schema) ] (view_q ()) in
+  Mat_view.create ~track_snapshots:true vd (kv_delta [ (1, 10, 1); (2, 20, 1) ])
+
+(* Three refreshes that insert, re-insert and delete. *)
+let refresh_three mv =
+  Mat_view.refresh mv ~at:1.0 ~maintained:[ 1 ] (kv_delta [ (3, 30, 1) ]);
+  Mat_view.refresh mv ~at:2.0 ~maintained:[ 2 ]
+    (kv_delta [ (1, 11, 2); (3, 30, 1) ]);
+  Mat_view.refresh mv ~at:3.0 ~maintained:[ 3 ]
+    (kv_delta [ (2, 20, -1); (1, 10, -1) ])
+
+let test_refresh_keeps_extent () =
+  let mv = kv_view () in
+  let extent = Mat_view.extent mv in
+  refresh_three mv;
+  Alcotest.(check bool) "same physical relation" true
+    (extent == Mat_view.extent mv);
+  Alcotest.(check bool) "contents" true
+    (Relation.equal (kv_delta [ (1, 11, 2); (3, 30, 2) ]) extent)
+
+let test_refresh_maintains_index () =
+  let mv = kv_view () in
+  let ix = Relation.ensure_index (Mat_view.extent mv) [ "k" ] in
+  refresh_three mv;
+  let fresh =
+    Relation.ensure_index (Relation.copy (Mat_view.extent mv)) [ "k" ]
+  in
+  Alcotest.(check int) "support" (Index.support fresh) (Index.support ix);
+  Alcotest.(check int) "keys" (Index.key_count fresh) (Index.key_count ix);
+  for k = 0 to 4 do
+    let key = Tuple.of_list [ Value.int k ] in
+    let matches i = List.sort compare (Index.lookup i key) in
+    Alcotest.(check bool)
+      (Fmt.str "matches for k=%d" k)
+      true
+      (matches fresh = matches ix)
+  done
+
+let test_rejected_refresh_changes_nothing () =
+  let mv = kv_view () in
+  let extent = Mat_view.extent mv in
+  let before = Relation.copy extent in
+  let commits = Mat_view.commit_count mv in
+  let unchanged what =
+    Alcotest.(check bool) (what ^ ": extent") true (Relation.equal before extent);
+    Alcotest.(check int) (what ^ ": commits") commits (Mat_view.commit_count mv)
+  in
+  (* The valid insert comes first in the delta; the check must still run
+     before any of it is applied. *)
+  (match
+     Mat_view.refresh mv ~at:1.0 ~maintained:[ 1 ]
+       (kv_delta [ (5, 50, 1); (2, 20, -2) ])
+   with
+  | () -> Alcotest.fail "negative residue accepted"
+  | exception Invalid_argument _ -> unchanged "negative residue");
+  match
+    Mat_view.refresh mv ~at:1.0 ~maintained:[ 1 ]
+      (Relation.of_list schema [ [ Value.int 9 ] ])
+  with
+  | () -> Alcotest.fail "schema mismatch accepted"
+  | exception Relation.Schema_mismatch _ -> unchanged "schema mismatch"
+
+let test_snapshots_survive_refresh () =
+  let mv = kv_view () in
+  refresh_three mv;
+  let snapshots =
+    List.map
+      (fun (c : Mat_view.commit) -> Option.get c.Mat_view.snapshot)
+      (Mat_view.commits mv)
+  in
+  let expected =
+    [
+      kv_delta [ (1, 10, 1); (2, 20, 1); (3, 30, 1) ];
+      kv_delta [ (1, 10, 1); (2, 20, 1); (3, 30, 2); (1, 11, 2) ];
+      kv_delta [ (3, 30, 2); (1, 11, 2) ];
+    ]
+  in
+  Alcotest.(check int) "three commits" 3 (List.length snapshots);
+  List.iteri
+    (fun i (want, got) ->
+      Alcotest.(check bool) (Fmt.str "snapshot %d" i) true (Relation.equal want got))
+    (List.combine expected snapshots)
+
 (* -- Query_engine: delivery semantics ------------------------------- *)
 
 let make_world () =
@@ -194,6 +286,14 @@ let () =
         [
           Alcotest.test_case "read/write/rollback" `Quick test_view_def;
           Alcotest.test_case "materialized view" `Quick test_mat_view;
+          Alcotest.test_case "refresh keeps the extent" `Quick
+            test_refresh_keeps_extent;
+          Alcotest.test_case "refresh maintains indexes" `Quick
+            test_refresh_maintains_index;
+          Alcotest.test_case "rejected refresh changes nothing" `Quick
+            test_rejected_refresh_changes_nothing;
+          Alcotest.test_case "snapshots survive refreshes" `Quick
+            test_snapshots_survive_refresh;
         ] );
       ( "query engine",
         [

@@ -312,6 +312,78 @@ let test_sweep_order () =
   Alcotest.(check (list string)) "walk left from the end" [ "B"; "A" ]
     (List.map (fun (tr : Query.table_ref) -> tr.alias) order2)
 
+(* -- sweep plans ------------------------------------------------------ *)
+
+let plan_needed (plan : Dyno_vm.Maint_query.plan) alias =
+  List.find_map
+    (fun (st : Dyno_vm.Maint_query.step) ->
+      if String.equal st.probed.Query.alias alias then Some st.needed else None)
+    plan.steps
+
+let test_plan_cached_per_version () =
+  let wd = make_world () in
+  let vd = Mat_view.def wd.mv in
+  let pivot = List.hd (Query.from (View_def.peek vd)) in
+  let p1 = Dyno_vm.Maint_query.plan vd pivot in
+  Alcotest.(check bool) "same plan within a version" true
+    (p1 == Dyno_vm.Maint_query.plan vd pivot);
+  let reads = View_def.reads vd in
+  View_def.restore vd (View_def.save vd);
+  let p2 = Dyno_vm.Maint_query.plan vd pivot in
+  Alcotest.(check bool) "restore drops the plan" false (p1 == p2);
+  View_def.write vd ~schemas:(View_def.schemas vd) (View_def.peek vd);
+  Alcotest.(check bool) "write drops the plan" false
+    (p2 == Dyno_vm.Maint_query.plan vd pivot);
+  Alcotest.(check int) "plan lookups count no r(VD)" reads (View_def.reads vd)
+
+(* A rename-attribute SC rewrites the definition; the next sweep must probe
+   with the rewritten query (a cached pre-rename probe would select the
+   dropped name C.z and break), and r(VD) stays one per maintenance. *)
+let test_plan_after_rename () =
+  let wd = make_world () in
+  let vd = Mat_view.def wd.mv in
+  let maintain_a k =
+    match
+      commit_and_maintain wd ~source:"ds1" ~rel:"A"
+        (Relation.of_list a_schema [ [ Value.int k; Value.string "n" ] ])
+    with
+    | Dyno_vm.Vm.Refreshed { stats; _ } ->
+        Alcotest.(check int) "probes B and C" 2 stats.Dyno_vm.Sweep.probes
+    | _ -> Alcotest.fail "expected refresh"
+  in
+  let pivot = List.hd (Query.from (View_def.peek vd)) in
+  maintain_a 1;
+  Alcotest.(check (option (list string))) "C probe before" (Some [ "z"; "k3" ])
+    (plan_needed (Dyno_vm.Maint_query.plan vd pivot) "C");
+  let ds2 = Dyno_source.Registry.find wd.registry "ds2" in
+  let sc =
+    Schema_change.Rename_attribute
+      { source = "ds2"; rel = "C"; old_name = "z"; new_name = "zz" }
+  in
+  let v = Dyno_source.Data_source.commit_sc ds2 ~time:(Query_engine.now wd.w) sc in
+  let m =
+    Umq.enqueue wd.umq ~commit_time:(Query_engine.now wd.w) ~source_version:v
+      (Update_msg.Sc sc)
+  in
+  (match
+     Dyno_va.Batch.maintain wd.w wd.mv (Dyno_source.Meta_knowledge.create ())
+       [ m ]
+   with
+  | Dyno_va.Batch.Adapted -> Umq.remove_head wd.umq
+  | _ -> Alcotest.fail "rename should adapt");
+  let reads = View_def.reads vd in
+  maintain_a 2;
+  maintain_a 2;
+  Alcotest.(check int) "one r(VD) per maintenance" (reads + 2)
+    (View_def.reads vd);
+  let plan = Dyno_vm.Maint_query.plan vd pivot in
+  Alcotest.(check bool) "plan built from the rewritten definition" true
+    (plan.query == View_def.peek vd);
+  Alcotest.(check (option (list string))) "C probe after" (Some [ "zz"; "k3" ])
+    (plan_needed plan "C");
+  Alcotest.(check bool) "extent = recompute" true
+    (Relation.equal (recompute wd) (Mat_view.extent wd.mv))
+
 let () =
   Alcotest.run "vm"
     [
@@ -325,6 +397,13 @@ let () =
           Alcotest.test_case "broken probe aborts" `Quick test_broken_probe_aborts;
           Alcotest.test_case "schema divergence aborts" `Quick test_schema_divergence_aborts;
           Alcotest.test_case "invalid view raises" `Quick test_invalid_view_raises;
+        ] );
+      ( "sweep plans",
+        [
+          Alcotest.test_case "cached per definition version" `Quick
+            test_plan_cached_per_version;
+          Alcotest.test_case "rename rewrites the probes" `Quick
+            test_plan_after_rename;
         ] );
       ( "grouped maintenance",
         [
