@@ -464,7 +464,8 @@ let faults_of ~cost ~loss ~dup ~reorder ~jitter ~reorder_delay ~outages :
 let multi_flag =
   let doc =
     "Maintain a second, narrower view (R1 join R2) alongside the full \
-     24-attribute view with the multi-view scheduler."
+     24-attribute view with the multi-view scheduler (one update queue: \
+     not combinable with --shards above 1)."
   in
   Arg.(value & flag & info [ "multi" ] ~doc)
 
@@ -563,6 +564,11 @@ let run_cmd =
       reorder jitter reorder_delay outages net_seed json_file trace_out
       metrics_out lineage_out no_lineage sample_interval series_out
       openmetrics_out profile_out slos slo_exit watch =
+    if multi && shards > 1 then begin
+      Fmt.epr "error: --multi drives one update queue; drop --shards %d@."
+        shards;
+      exit 1
+    end;
     let timeline =
       timeline_of ~rows ~seed ~dus ~du_interval ~scs ~sc_interval
     in

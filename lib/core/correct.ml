@@ -22,17 +22,32 @@ type report = {
 }
 
 (** [apply umq g] corrects the queue according to graph [g] and installs
-    the legal order.  Returns what happened, for stats/trace. *)
+    the legal order, followed by any entries queued after [g] was built.
+    Returns what happened, for stats/trace. *)
 let apply (umq : Umq.t) (g : Dep_graph.t) : report =
   let before = Umq.entries umq in
   let c = Dep_graph.correct g in
+  (* Charging the detection pass may have delivered messages the graph
+     never saw: they keep their arrival order after the corrected
+     prefix. *)
+  let covered = Hashtbl.create 64 in
+  List.iter
+    (fun e ->
+      List.iter (fun id -> Hashtbl.replace covered id ()) (Umq.entry_ids e))
+    c.Dep_graph.order;
+  let order =
+    c.Dep_graph.order
+    @ List.filter
+        (fun e -> not (List.exists (Hashtbl.mem covered) (Umq.entry_ids e)))
+        before
+  in
   let reordered =
-    List.length before <> List.length c.Dep_graph.order
+    List.length before <> List.length order
     || List.exists2
          (fun a b -> Umq.entry_ids a <> Umq.entry_ids b)
-         before c.Dep_graph.order
+         before order
   in
-  if reordered then Umq.replace umq c.Dep_graph.order;
+  if reordered then Umq.replace umq order;
   {
     reordered;
     merged_cycles = c.Dep_graph.merged_cycles;

@@ -16,7 +16,8 @@ type report = {
 
 val apply : Umq.t -> Dep_graph.t -> report
 (** [apply umq g] corrects the queue according to graph [g] and installs
-    the legal order.  The set of queued updates is preserved exactly
+    the legal order, followed by the entries queued after [g] was built
+    (in arrival order).  The set of queued updates is preserved exactly
     ({!Umq.replace} enforces it). *)
 
 val merge_all : Umq.t -> report

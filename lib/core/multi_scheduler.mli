@@ -18,38 +18,26 @@ type t
 val create : Mat_view.t list -> t
 val views : t -> Mat_view.t list
 
-(** The shared {!Run_config.t} record (one record drives the serial,
-    multi-view and sharded schedulers).  This scheduler consumes
-    [strategy], [max_steps], [compensate] and [parallel] — when > 1, the
-    per-view sweeps of a single-DU head entry run as concurrent executor
-    tasks so their probe round trips overlap; refreshes still commit
-    serially at the barrier, in view order.  [vm_mode] and [du_group] are
-    ignored: the multi-view path always maintains incrementally, one
-    entry at a time.  [self_maint] builds one auxiliary-view store per
-    view (each view has its own join partners and coverage), fed by one
-    shared admit hook per store. *)
-type config = Run_config.t = {
-  strategy : Strategy.t;
-  max_steps : int;
-  compensate : bool;
-  vm_mode : Run_config.vm_mode;
-  du_group : int;
-  parallel : int;
-  self_maint : bool;
-  runtime : [ `Simulated | `Domains of int ];
-      (** execution backend for per-view sweep compute — see
-          {!Run_config.t} *)
-}
-
-val default_config : config
-(** [= Run_config.default]. *)
-
 val run :
-  ?config:config ->
+  ?config:Run_config.t ->
   Query_engine.t ->
   t ->
   Dyno_source.Meta_knowledge.t ->
   Stats.t
 (** Drain the UMQ and the timeline, maintaining every entry against every
-    view; statistics are aggregated across views.
+    view; statistics are aggregated across views.  Detection, correction,
+    the outcome handler (done / stalled / aborted plus the strategy's
+    correction), the concurrent sweep round and the run shell are the
+    serial {!Scheduler}'s, so on one view the run equals
+    {!Scheduler.run}.
+
+    [config.parallel > 1] sweeps a single-DU head entry against up to
+    [parallel] views concurrently (probe round trips overlap; refreshes
+    commit in view order, and views committed before a failure keep
+    their commit).  [self_maint] builds one auxiliary-view store per view
+    (each view has its own join partners and coverage); [runtime]
+    selects the backend for the per-view sweep compute.
+    @raise Invalid_argument for an engine with more than one route (the
+    scheduler drives one queue), [vm_mode = Recompute] or [du_group > 1]:
+    the multi-view path maintains incrementally, one entry at a time.
     @raise Scheduler.Step_limit_exceeded beyond [config.max_steps]. *)

@@ -1,9 +1,8 @@
 (** The shared runtime configuration record consumed by all three
     schedulers — serial ({!Scheduler}), multi-view ({!Multi_scheduler})
     and sharded ({!Shard_scheduler}).  One record, one set of defaults,
-    one CLI plumbing path; schedulers that do not implement a knob
-    document it as ignored rather than duplicating a trimmed copy of the
-    fields. *)
+    one CLI plumbing path; a scheduler that cannot honour a value rejects
+    it up front rather than duplicating a trimmed copy of the fields. *)
 
 (** How data updates are maintained. *)
 type vm_mode =

@@ -1,9 +1,9 @@
 (** The shared runtime configuration record consumed by all three
     schedulers — serial ({!Scheduler}), multi-view ({!Multi_scheduler})
     and sharded ({!Shard_scheduler}).  One record, one set of defaults,
-    one CLI plumbing path.  Schedulers that do not implement a knob
-    document it as ignored ({!Multi_scheduler} ignores [vm_mode] and
-    [du_group]). *)
+    one CLI plumbing path.  A scheduler that cannot honour a value
+    rejects it up front ({!Multi_scheduler} raises [Invalid_argument]
+    for [Recompute] and [du_group > 1]). *)
 
 (** How data updates are maintained. *)
 type vm_mode =

@@ -5,7 +5,14 @@
     for data updates, VS+VA for schema changes, batch adaptation for
     merged nodes), and in-exec recovery when a maintenance query breaks:
     the process aborts, the queue is corrected, and maintenance resumes
-    under the new legal order. *)
+    under the new legal order.
+
+    The serial, sharded ({!Shard_scheduler}) and multi-view
+    ({!Multi_scheduler}) loops share one copy of each piece of this
+    machinery, exposed below: the run shell, the outcome handler for
+    done / stalled / aborted steps, the strategy's correction after an
+    abort, detection + correction over a list of views, and the
+    concurrent sweep round. *)
 
 open Dyno_view
 
@@ -67,33 +74,6 @@ val maintain_entry :
     (self-maintenance tier) lets fully-covered sweeps skip their probe
     round trips — see {!Dyno_vm.Vm.maintain}. *)
 
-(** One parallel-round member as the multicore runtime's worker-domain
-    pool sees it (shared with the multi-view and sharded schedulers —
-    [pj_mv] and [pj_local] vary per member only there). *)
-type pool_job = {
-  pj_mv : Mat_view.t;
-  pj_msg : Update_msg.t;
-  pj_du : Dyno_relational.Update.t;
-  pj_applied : int list;  (** multi-view: queued ids already integrated *)
-  pj_exclude_extra : int list;  (** exclusion set frozen at dispatch *)
-  pj_local : Dyno_vm.Sweep.local option;
-}
-
-val pool_sweeps :
-  pool:Dyno_sim.Domain_pool.t ->
-  compensate:bool ->
-  Query_engine.t ->
-  Stats.t ->
-  pool_job array ->
-  Dyno_vm.Vm.swept option array
-(** Evaluate a dispatched round's fully-covered local sweeps on the
-    worker-domain pool: coordinator-side {!Dyno_vm.Vm.prepare_sweep} per
-    member, one {!Dyno_sim.Domain_pool.run_all} batch of pure
-    {!Dyno_vm.Sweep.compute_local} thunks, then coordinator-side
-    bookkeeping.  [Some swept] members are decided; [None] members still
-    need the cooperative probed path.  Increments [Stats.mcore_tasks] by
-    the number of offloaded computations. *)
-
 val aux_store : Query_engine.t -> Mat_view.t -> Dyno_selfmaint.Aux_store.t
 (** Build the view's auxiliary-projection store: derive the plan from the
     view definition, seed every projection from its source's state at the
@@ -101,22 +81,7 @@ val aux_store : Query_engine.t -> Mat_view.t -> Dyno_selfmaint.Aux_store.t
     admission history, so in-flight commits are excluded), and wire the
     refresh cost to the engine's cost model.  The caller installs
     {!Dyno_selfmaint.Aux_store.on_message} as an admit hook to keep it
-    fed.  Shared with the multi-view and sharded schedulers. *)
-
-val sync_aux : Query_engine.t -> Dyno_selfmaint.Aux_store.t -> Mat_view.t -> unit
-(** Revalidate invalidated projections once no schema change of their
-    source remains queued on any route (cheap no-op unless something is
-    invalid).  Call once per scheduler iteration, after delivery. *)
-
-val abort_provenance : Umq.t -> Dyno_source.Data_source.broken -> string
-(** Lineage narrative for an abort: the broken-query diagnosis plus the
-    queued schema change from the broken source (the conflicting SC the
-    correction will resolve), when one is still queued. *)
-
-val note_merge_all :
-  Dyno_obs.Lineage.t -> time:float -> Correct.report -> unit
-(** Record merge-all collapse provenance (parent links to the batch's
-    oldest member) on the lineage ring. *)
+    fed, as {!make_env} does. *)
 
 val stall_and_wait :
   Query_engine.t -> Stats.t -> t0:float -> Dyno_net.Retry.unreachable -> unit
@@ -129,21 +94,135 @@ val record_net_stats : Query_engine.t -> Stats.t -> unit
     timeouts, lost/duplicated messages, dedup/reorder healing, net wait)
     into the run's statistics. *)
 
-val mirror_stats : Dyno_obs.Obs.t -> Stats.t -> unit
-(** Mirror the run's final statistics into the metrics registry under
-    [sched.*] names (no-op on a disabled registry). *)
+(** {2 Machinery shared with {!Shard_scheduler} and {!Multi_scheduler}} *)
 
-val mirror_trace_dropped : Query_engine.t -> unit
-(** Set the [obs.trace_dropped] counter to the simulated trace's ring
-    evictions, so silently truncated traces are visible (no-op on a
-    disabled registry). *)
+val credit_sweep : Stats.t -> Dyno_vm.Sweep.stats -> unit
+(** Credit one refreshed sweep: a maintained data update, its probes,
+    compensations and self-maintenance savings, and one view commit. *)
 
-val drain_hostprof : Query_engine.t -> unit
-(** Fold the host profiler's per-domain rings into [host.*] metrics and
-    note each attributed member's host compute seconds
-    ([host_compute_s]) onto its lineage record.  Call only after the
-    worker-domain pool quiesced ([Domain_pool.shutdown]); a disabled
-    profiler makes this a no-op. *)
+val detect_and_correct :
+  force:bool -> Query_engine.t -> Mat_view.t list -> Stats.t -> unit
+(** Pre-exec detection guarded by the schema-change flag (or, with
+    [force], unconditional in-exec detection) plus correction of the
+    primary queue, against every view sharing it: a schema change
+    conflicts as soon as it conflicts with any defined view.  Charged to
+    [Stats.busy]; the graph costs [n × views]. *)
+
+(** A run's state: the engine, its configuration and statistics, the
+    shard plan ([None] for one queue), one auxiliary store per view
+    handed to {!make_env} (self-maintenance only) and the worker-domain
+    pool ([`Domains _] runtime only). *)
+type env = {
+  w : Query_engine.t;
+  config : config;
+  stats : Stats.t;
+  plan : Shard.t option;
+  stores : (Mat_view.t * Dyno_selfmaint.Aux_store.t) array;
+  locals : Dyno_vm.Sweep.local array;  (** one per store *)
+  pool : Dyno_sim.Domain_pool.t option;
+  mutable steps : int;
+}
+
+val make_env :
+  config:config -> plan:Shard.t option -> Query_engine.t -> Mat_view.t list ->
+  env
+(** Fresh statistics, the worker pool, and (with [config.self_maint]) one
+    {!aux_store} per listed view, each fed by its own admit hook. *)
+
+val local : env -> int -> Dyno_vm.Sweep.local option
+(** The [i]th store's local answers, when self-maintenance is on. *)
+
+val tick : env -> unit
+(** Count one scheduler step.
+    @raise Step_limit_exceeded beyond [config.max_steps]. *)
+
+val drive : env -> is_empty:(unit -> bool) -> (int -> unit) -> Stats.t
+(** The loop: per step, deliver due messages, sync the auxiliary stores
+    and sample the series; then idle to the next wakeup while [is_empty],
+    else run the iteration inside a [Maintain] span (its id is the
+    argument).  Shuts the pool down, drains the host profiler, and
+    finishes the statistics and metrics mirrors. *)
+
+val recover : env -> Mat_view.t list -> unit -> unit
+(** The strategy's answer to an abort: pessimistic forces a detection if
+    the schema-change flag is clear, optimistic always forces one, and
+    merge-all collapses the queue into one batch ([Trace.Merge] plus
+    lineage merge provenance). *)
+
+val settle :
+  env ->
+  mid:int option ->
+  t0:float ->
+  ids:int list ->
+  what:string ->
+  on_done:(unit -> unit) ->
+  recover:(unit -> unit) ->
+  step_outcome ->
+  unit
+(** Settle a step dispatched at [t0] for updates [ids].  [Done] charges
+    the busy time and runs [on_done]; [UnreachableStep] stalls until the
+    source recovers; [AbortedStep] charges the wasted work to
+    [abort_cost], records the abort ("[what] aborted after …") with its
+    lineage provenance, and runs [recover].  The [mid] span, when given,
+    gets the [outcome] (and [abort_s]) attributes. *)
+
+(** One member of a concurrent sweep round: [msg]'s data update swept
+    against [view], keeping the [applied] ids in and the [exclude] ids
+    (earlier members of the round) out; [spent] receives its task time. *)
+type member = {
+  view : Mat_view.t;
+  msg : Update_msg.t;
+  du : Dyno_relational.Update.t;
+  applied : int list;
+  exclude : int list;
+  local : Dyno_vm.Sweep.local option;
+  thread : string;  (** span thread of the member's task *)
+  mutable spent : float;
+}
+
+val sweep_round :
+  env ->
+  commit:(member -> Dyno_vm.Sweep.stats option -> unit) ->
+  discard:(member -> unit) ->
+  member list ->
+  (member * step_outcome) option
+(** Sweep every member concurrently (worker pool first, the rest as
+    executor tasks), then commit in order up to the first failure.
+    Committed members are credited and handed to [commit] ([None] when
+    irrelevant); members after the failure go to [discard].  Returns the
+    failed member. *)
+
+val antichain :
+  width:int -> Umq.t -> (Update_msg.t * Dyno_relational.Update.t) list
+(** At most [width] single data updates from distinct sources off the
+    queue prefix, stopping at the first schema change or batch. *)
+
+val compare_arrival : Umq.entry -> Umq.entry -> int
+(** Global arrival order across queues: minimum message id, then
+    source. *)
+
+val head_step :
+  env ->
+  mid:int ->
+  fresh:Freshness.t ->
+  recover:(unit -> unit) ->
+  Mat_view.t ->
+  Dyno_source.Meta_knowledge.t ->
+  unit
+(** Maintain the globally-oldest queue head with {!maintain_entry} and
+    settle it. *)
+
+val du_round :
+  env ->
+  mid:int ->
+  fresh:Freshness.t ->
+  recover:(unit -> unit) ->
+  Mat_view.t ->
+  (Update_msg.t * Dyno_relational.Update.t) list ->
+  unit
+(** One dependency-parallel round over an antichain in queue order (or
+    global arrival order across shards), exclusion sets fixed at
+    dispatch, settled as one step. *)
 
 val run :
   ?config:config ->

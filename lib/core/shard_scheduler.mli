@@ -25,6 +25,9 @@
     restarts it on a fresh snapshot (the newly-detected conflict is part
     of the next graph).
 
+    Rounds, the fallback head step, per-entry outcomes and the run shell
+    are {!Scheduler}'s shared machinery, keyed by the shard plan; an
+    abort outside the barrier raises the barrier for the next round.
     With a 1-shard plan this delegates to {!Scheduler.run} — bit-for-bit
     the historical behaviour. *)
 
