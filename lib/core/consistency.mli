@@ -7,7 +7,7 @@
     equals the view definition at that commit evaluated over a valid
     source-state vector, advancing monotonically in source-commit order.
     The claimed vector is derived from the maintained message ids; states
-    are reconstructed from the sources' version histories. *)
+    are replayed forward from the sources' version histories. *)
 
 open Dyno_view
 
@@ -28,7 +28,10 @@ val check_strong :
   Mat_view.t ->
   msg_index:(int * (string * int)) list ->
   report
-(** [check_strong w mv ~msg_index] replays every snapshot-tracked commit;
-    [msg_index] maps a message id to [(source id, source version)] (see
-    [Dyno_workload.Scenario.msg_index]).  Commits without snapshots are
-    counted as skipped. *)
+(** [check_strong w mv ~msg_index] checks every tracked commit in one
+    forward replay of the view's change log and the sources' histories,
+    in time linear in the total delta size (plus one re-evaluation at each
+    definition change, source schema change, replaced extent and at the
+    final commit); [msg_index] maps a message id to [(source id, source
+    version)] (see [Dyno_workload.Scenario.msg_index]).  Commits without a
+    recorded change (tracking off) are counted as skipped. *)

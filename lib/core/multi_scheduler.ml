@@ -124,30 +124,7 @@ let run ?(config = Run_config.default) (w : Query_engine.t) (t : t)
           ~queued:(Umq.messages umq) ())
       mvs
   in
-  let series = Dyno_obs.Obs.series obs in
-  if Dyno_obs.Timeseries.enabled series then begin
-    Dyno_obs.Timeseries.probe series "umq.depth" (fun _ ->
-        float_of_int (List.length (Umq.entries umq)));
-    Dyno_obs.Timeseries.probe series "sched.inflight" (fun _ ->
-        Dyno_obs.Metrics.gauge_value mx "sched.inflight");
-    Dyno_obs.Timeseries.probe series ~kind:`Counter "sched.view_commits"
-      (fun _ -> float_of_int stats.Stats.view_commits);
-    Dyno_obs.Timeseries.probe series ~kind:`Counter "sched.aborts" (fun _ ->
-        float_of_int stats.Stats.aborts);
-    Dyno_obs.Timeseries.probe series ~kind:`Counter "net.retries" (fun _ ->
-        float_of_int (Query_engine.net_retries w));
-    (* Aggregate = the worst (most stale) view. *)
-    Dyno_obs.Timeseries.probe series "staleness_s" (fun now ->
-        List.fold_left
-          (fun acc f -> Float.max acc (Freshness.staleness_seconds f ~now))
-          0.0 trackers);
-    Dyno_obs.Timeseries.probe series "staleness_versions" (fun _ ->
-        float_of_int
-          (List.fold_left
-             (fun acc f -> max acc (Freshness.lag_versions f))
-             0 trackers));
-    List.iter (fun f -> Freshness.register_probes f series) trackers
-  end;
+  Scheduler.register_probes env ~umqs:[ umq ] ~trackers;
   let recover = Scheduler.recover env mvs in
   let maintain_views entry =
     let rec go = function

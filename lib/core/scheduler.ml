@@ -72,6 +72,56 @@ let credit_sweep (stats : Stats.t) (s : Dyno_vm.Sweep.stats) : unit =
     stats.Stats.bytes_saved + s.Dyno_vm.Sweep.bytes_saved;
   stats.Stats.view_commits <- stats.Stats.view_commits + 1
 
+(* One detection pass over [nodes] queue entries, charged [cost] on the
+   simulated clock inside a Detect span and observed as [detect.pass_s].
+   The caller records the [Trace.Detect] line. *)
+let detect_pass (w : Query_engine.t) ~(nodes : int) (cost : float) : unit =
+  let obs = Query_engine.obs w in
+  let sp = Dyno_obs.Obs.spans obs and mx = Dyno_obs.Obs.metrics obs in
+  let now () = Query_engine.now w in
+  Dyno_obs.Span.with_span sp ~now Dyno_obs.Span.Detect
+    (Dyno_obs.Span.namef sp "detect %d node(s)" nodes)
+    (fun _ ->
+      let td = now () in
+      Query_engine.advance w cost;
+      Dyno_obs.Metrics.observe mx "detect.pass_s" (now () -. td))
+
+(* Run a correction [f] (given its start time; it returns whether it
+   reordered, and its result) inside a Correct span, observing its
+   simulated duration as [correct.pass_s]. *)
+let correct_pass (w : Query_engine.t) (f : float -> bool * 'a) : 'a =
+  let obs = Query_engine.obs w in
+  let sp = Dyno_obs.Obs.spans obs and mx = Dyno_obs.Obs.metrics obs in
+  let now () = Query_engine.now w in
+  Dyno_obs.Span.with_span sp ~now Dyno_obs.Span.Correct "correct" (fun cid ->
+      let tc = now () in
+      let reordered, r = f tc in
+      Dyno_obs.Metrics.observe mx "correct.pass_s" (now () -. tc);
+      Dyno_obs.Span.set_attr sp cid "reordered" (string_of_bool reordered);
+      r)
+
+(* Record the unsafe edges of [g] on the dependent updates' lineage: the
+   forensic provenance of a reorder, written before the correction
+   rewrites the queue. *)
+let edge_provenance (lin : Dyno_obs.Lineage.t) ~(time : float) g =
+  if Dyno_obs.Lineage.enabled lin then
+    List.iter
+      (fun e ->
+        Dyno_obs.Lineage.edge lin
+          ~dep_ids:(Dep_graph.edge_dependent_ids g e)
+          ~time ~detail:(Dep_graph.describe_edge g e))
+      (Dep_graph.unsafe g)
+
+(* Count and trace the dependency cycles a correction merged. *)
+let note_merges (w : Query_engine.t) (stats : Stats.t) ~merged_cycles
+    ~merged_updates : unit =
+  if merged_cycles > 0 then begin
+    stats.Stats.merges <- stats.Stats.merges + merged_cycles;
+    Trace.recordf (Query_engine.trace w) ~time:(Query_engine.now w)
+      Trace.Merge "%d cycle(s) merged (%d update(s))" merged_cycles
+      merged_updates
+  end
+
 (* Charge a detection pass + correction on the simulated clock and update
    stats.  The graph is built against every view sharing the queue: a
    schema change conflicts as soon as it conflicts with any defined view,
@@ -85,10 +135,6 @@ let detect_and_correct ~(force : bool) (w : Query_engine.t)
   let t0 = Query_engine.now w in
   (* Test-and-clear first: a forced pass consumes a pending flag too. *)
   let fired = Umq.test_and_clear_schema_change_flag umq || force in
-  let obs = Query_engine.obs w in
-  let sp = Dyno_obs.Obs.spans obs
-  and mx = Dyno_obs.Obs.metrics obs in
-  let now () = Query_engine.now w in
   if not fired then
     (* Flag fast path: O(1); no span — it would swamp the trace with one
        flag check per iteration. *)
@@ -109,31 +155,15 @@ let detect_and_correct ~(force : bool) (w : Query_engine.t)
     stats.Stats.detections <- stats.Stats.detections + 1;
     let n = Dep_graph.size g in
     let m = List.length (List.filter Update_msg.is_sc (Umq.messages umq)) in
-    Dyno_obs.Span.with_span sp ~now Dyno_obs.Span.Detect
-      (Dyno_obs.Span.namef sp "detect %d node(s)" n)
-      (fun _ ->
-        let td = now () in
-        Query_engine.advance w
-          (Cost_model.detect cost ~n:(n * max 1 (List.length defined)) ~m);
-        Dyno_obs.Metrics.observe mx "detect.pass_s" (now () -. td));
+    detect_pass w ~nodes:n
+      (Cost_model.detect cost ~n:(n * max 1 (List.length defined)) ~m);
     Trace.recordf (Query_engine.trace w) ~time:(Query_engine.now w)
       Trace.Detect "graph: %d node(s), %d edge(s), %d unsafe" n
       (List.length (Dep_graph.edges g))
       (Dep_graph.unsafe_count g);
-    Dyno_obs.Span.with_span sp ~now Dyno_obs.Span.Correct "correct"
-      (fun cid ->
-        let tc = now () in
-        let lin = Dyno_obs.Obs.lineage obs in
-        (* Forensic provenance: every unsafe edge (the ones forcing the
-           reorder) lands on the dependent updates' lineage records
-           before the correction rewrites the queue. *)
-        if Dyno_obs.Lineage.enabled lin then
-          List.iter
-            (fun e ->
-              Dyno_obs.Lineage.edge lin
-                ~dep_ids:(Dep_graph.edge_dependent_ids g e)
-                ~time:tc ~detail:(Dep_graph.describe_edge g e))
-            (Dep_graph.unsafe g);
+    correct_pass w (fun tc ->
+        let lin = Dyno_obs.Obs.lineage (Query_engine.obs w) in
+        edge_provenance lin ~time:tc g;
         let r = Correct.apply umq g in
         List.iter
           (fun ids ->
@@ -146,20 +176,14 @@ let detect_and_correct ~(force : bool) (w : Query_engine.t)
         Query_engine.advance w
           (Cost_model.correct cost ~nodes:r.Correct.nodes
              ~edges:r.Correct.edges);
-        Dyno_obs.Metrics.observe mx "correct.pass_s" (now () -. tc);
-        Dyno_obs.Span.set_attr sp cid "reordered"
-          (string_of_bool r.Correct.reordered);
         if r.Correct.reordered then begin
           stats.Stats.corrections <- stats.Stats.corrections + 1;
           Trace.recordf (Query_engine.trace w) ~time:(Query_engine.now w)
             Trace.Correct "queue reordered into a legal order"
         end;
-        if r.Correct.merged_cycles > 0 then begin
-          stats.Stats.merges <- stats.Stats.merges + r.Correct.merged_cycles;
-          Trace.recordf (Query_engine.trace w) ~time:(Query_engine.now w)
-            Trace.Merge "%d cycle(s) merged (%d update(s))"
-            r.Correct.merged_cycles r.Correct.merged_updates
-        end)
+        note_merges w stats ~merged_cycles:r.Correct.merged_cycles
+          ~merged_updates:r.Correct.merged_updates;
+        (r.Correct.reordered, ()))
   end;
   stats.Stats.busy <- stats.Stats.busy +. (Query_engine.now w -. t0)
 
@@ -1018,6 +1042,49 @@ let du_round env ~mid ~(fresh : Freshness.t) ~recover (mv : Mat_view.t)
     ~what:(if sharded then "sharded round" else "parallel round")
     outcome
 
+(* The time-series probes every scheduler registers (when the sampler is
+   on): queue depth summed over [umqs], the in-flight gauge, commit,
+   probe, abort and retry counters, busy and abort ratios, and the
+   staleness of the most stale view among [trackers] plus each tracker's
+   own frontier probes. *)
+let register_probes env ~(umqs : Umq.t list) ~(trackers : Freshness.t list) :
+    unit =
+  let w = env.w and stats = env.stats in
+  let obs = Query_engine.obs w in
+  let series = Dyno_obs.Obs.series obs in
+  if Dyno_obs.Timeseries.enabled series then begin
+    let mx = Dyno_obs.Obs.metrics obs in
+    let probe = Dyno_obs.Timeseries.probe series in
+    probe "umq.depth" (fun _ ->
+        float_of_int (List.fold_left (fun a q -> a + Umq.length q) 0 umqs));
+    probe "sched.inflight" (fun _ ->
+        Dyno_obs.Metrics.gauge_value mx "sched.inflight");
+    probe ~kind:`Counter "sched.view_commits" (fun _ ->
+        float_of_int stats.Stats.view_commits);
+    probe ~kind:`Counter "sched.probes" (fun _ ->
+        float_of_int stats.Stats.probes);
+    probe ~kind:`Counter "sched.aborts" (fun _ ->
+        float_of_int stats.Stats.aborts);
+    probe ~kind:`Counter "net.retries" (fun _ ->
+        float_of_int (Query_engine.net_retries w));
+    probe "sched.busy_ratio" (fun now ->
+        if now > 0.0 then stats.Stats.busy /. now else 0.0);
+    probe "sched.abort_ratio" (fun _ ->
+        if stats.Stats.busy > 0.0 then
+          stats.Stats.abort_cost /. stats.Stats.busy
+        else 0.0);
+    probe "staleness_s" (fun now ->
+        List.fold_left
+          (fun acc f -> Float.max acc (Freshness.staleness_seconds f ~now))
+          0.0 trackers);
+    probe "staleness_versions" (fun _ ->
+        float_of_int
+          (List.fold_left
+             (fun acc f -> max acc (Freshness.lag_versions f))
+             0 trackers));
+    List.iter (fun f -> Freshness.register_probes f series) trackers
+  end
+
 (** [run ?config w mv mk] drives the Dyno loop until the UMQ and the
     timeline are both drained; returns the collected statistics. *)
 let run ?(config = default_config) (w : Query_engine.t) (mv : Mat_view.t)
@@ -1035,33 +1102,7 @@ let run ?(config = default_config) (w : Query_engine.t) (mv : Mat_view.t)
       ~registry:(Query_engine.registry w)
       ~queued:(Umq.messages umq) ()
   in
-  let series = Dyno_obs.Obs.series obs in
-  if Dyno_obs.Timeseries.enabled series then begin
-    let mx = Dyno_obs.Obs.metrics obs in
-    Dyno_obs.Timeseries.probe series "umq.depth" (fun _ ->
-        float_of_int (List.length (Umq.entries umq)));
-    Dyno_obs.Timeseries.probe series "sched.inflight" (fun _ ->
-        Dyno_obs.Metrics.gauge_value mx "sched.inflight");
-    Dyno_obs.Timeseries.probe series ~kind:`Counter "sched.view_commits"
-      (fun _ -> float_of_int stats.Stats.view_commits);
-    Dyno_obs.Timeseries.probe series ~kind:`Counter "sched.probes" (fun _ ->
-        float_of_int stats.Stats.probes);
-    Dyno_obs.Timeseries.probe series ~kind:`Counter "sched.aborts" (fun _ ->
-        float_of_int stats.Stats.aborts);
-    Dyno_obs.Timeseries.probe series ~kind:`Counter "net.retries" (fun _ ->
-        float_of_int (Query_engine.net_retries w));
-    Dyno_obs.Timeseries.probe series "sched.busy_ratio" (fun now ->
-        if now > 0.0 then stats.Stats.busy /. now else 0.0);
-    Dyno_obs.Timeseries.probe series "sched.abort_ratio" (fun _ ->
-        if stats.Stats.busy > 0.0 then
-          stats.Stats.abort_cost /. stats.Stats.busy
-        else 0.0);
-    Dyno_obs.Timeseries.probe series "staleness_s" (fun now ->
-        Freshness.staleness_seconds fresh ~now);
-    Dyno_obs.Timeseries.probe series "staleness_versions" (fun _ ->
-        float_of_int (Freshness.lag_versions fresh));
-    Freshness.register_probes fresh series
-  end;
+  register_probes env ~umqs:[ umq ] ~trackers:[ fresh ];
   let recover = recover env [ mv ] in
   let iteration mid =
     (match config.strategy with

@@ -100,6 +100,25 @@ val credit_sweep : Stats.t -> Dyno_vm.Sweep.stats -> unit
 (** Credit one refreshed sweep: a maintained data update, its probes,
     compensations and self-maintenance savings, and one view commit. *)
 
+val detect_pass : Query_engine.t -> nodes:int -> float -> unit
+(** [detect_pass w ~nodes cost] charges one detection pass over [nodes]
+    queue entries on the simulated clock, inside a [Detect] span, and
+    observes it as the [detect.pass_s] metric.  The caller records the
+    [Trace.Detect] line. *)
+
+val correct_pass : Query_engine.t -> (float -> bool * 'a) -> 'a
+(** [correct_pass w f] runs a correction [f] (handed its start time;
+    it returns whether it reordered, and a result) inside a [Correct]
+    span, observing its simulated duration as [correct.pass_s]. *)
+
+val edge_provenance : Dyno_obs.Lineage.t -> time:float -> Dep_graph.t -> unit
+(** Record every unsafe edge of the graph on its dependent updates'
+    lineage (no-op when lineage is off). *)
+
+val note_merges :
+  Query_engine.t -> Stats.t -> merged_cycles:int -> merged_updates:int -> unit
+(** Count merged dependency cycles and record the [Trace.Merge] line. *)
+
 val detect_and_correct :
   force:bool -> Query_engine.t -> Mat_view.t list -> Stats.t -> unit
 (** Pre-exec detection guarded by the schema-change flag (or, with
@@ -142,6 +161,15 @@ val drive : env -> is_empty:(unit -> bool) -> (int -> unit) -> Stats.t
     else run the iteration inside a [Maintain] span (its id is the
     argument).  Shuts the pool down, drains the host profiler, and
     finishes the statistics and metrics mirrors. *)
+
+val register_probes :
+  env -> umqs:Umq.t list -> trackers:Freshness.t list -> unit
+(** The one time-series probe set every scheduler registers when the
+    sampler is on: [umq.depth] (summed over [umqs]), [sched.inflight],
+    the [sched.view_commits], [sched.probes], [sched.aborts] and
+    [net.retries] counters, [sched.busy_ratio], [sched.abort_ratio],
+    [staleness_s] and [staleness_versions] (the most stale of
+    [trackers]) and each tracker's own frontier probes. *)
 
 val recover : env -> Mat_view.t list -> unit -> unit
 (** The strategy's answer to an abort: pessimistic forces a detection if

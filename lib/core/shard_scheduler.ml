@@ -35,20 +35,8 @@ let run ?(config = Run_config.default) ~plan (w : Query_engine.t)
         ~queued:(Array.to_list umqs |> List.concat_map Umq.messages)
         ()
     in
-    let series = Dyno_obs.Obs.series obs in
-    if Dyno_obs.Timeseries.enabled series then begin
-      Dyno_obs.Timeseries.probe series "umq.depth" (fun _ ->
-          float_of_int (Array.fold_left (fun a q -> a + Umq.length q) 0 umqs));
-      Dyno_obs.Timeseries.probe series "sched.inflight" (fun _ ->
-          Dyno_obs.Metrics.gauge_value mx "sched.inflight");
-      Dyno_obs.Timeseries.probe series ~kind:`Counter "sched.view_commits"
-        (fun _ -> float_of_int stats.Stats.view_commits);
-      Dyno_obs.Timeseries.probe series "staleness_s" (fun now ->
-          Freshness.staleness_seconds fresh ~now);
-      Dyno_obs.Timeseries.probe series "staleness_versions" (fun _ ->
-          float_of_int (Freshness.lag_versions fresh));
-      Freshness.register_probes fresh series
-    end;
+    Scheduler.register_probes env ~umqs:(Array.to_list umqs)
+      ~trackers:[ fresh ];
     (* An abort anywhere outside the barrier raises it: the conflicting
        schema change may sit on another shard's queue. *)
     let recover () = force_barrier := true in
@@ -79,73 +67,80 @@ let run ?(config = Run_config.default) ~plan (w : Query_engine.t)
           let t0 = now () in
           stats.Stats.detections <- stats.Stats.detections + 1;
           let nn = List.length snapshot in
-          let m =
-            List.length
-              (List.filter Update_msg.is_sc
-                 (List.concat_map Umq.entry_messages snapshot))
-          in
-          Query_engine.advance w (Cost_model.detect cost ~n:nn ~m);
-          let order, merged_cycles, merged_updates, reordered =
+          let msgs = List.concat_map Umq.entry_messages snapshot in
+          let m = List.length (List.filter Update_msg.is_sc msgs) in
+          (* Merge-all orders nothing: it collapses the whole snapshot. *)
+          let g =
             match config.Run_config.strategy with
-            | Strategy.Merge_all ->
-                (* The strawman collapses everything it can see — here,
-                   the whole cross-shard snapshot — into one batch. *)
-                let msgs = List.concat_map Umq.entry_messages snapshot in
-                if List.length msgs > 1 then begin
-                  Dyno_obs.Lineage.merged lin
-                    ~ids:(List.map Update_msg.id msgs)
-                    ~time:(now ())
-                    ~detail:
-                      (Dyno_obs.Lineage.detailf lin
-                         "merge-all at cross-shard barrier: %d update(s) \
-                          collapsed into one batch"
-                         (List.length msgs));
-                  ([ Umq.Batch msgs ], 1, List.length msgs, true)
-                end
-                else (snapshot, 0, 0, false)
+            | Strategy.Merge_all -> None
             | Strategy.Pessimistic | Strategy.Optimistic ->
-                let g =
-                  Dep_graph.build (View_def.peek vd) (View_def.schemas vd)
-                    snapshot
-                in
-                if Dyno_obs.Lineage.enabled lin then
-                  List.iter
-                    (fun e ->
-                      Dyno_obs.Lineage.edge lin
-                        ~dep_ids:(Dep_graph.edge_dependent_ids g e)
-                        ~time:(now ())
-                        ~detail:(Dep_graph.describe_edge g e))
-                    (Dep_graph.unsafe g);
-                let r = Dep_graph.correct g in
-                List.iter
-                  (fun ids ->
-                    Dyno_obs.Lineage.merged lin ~ids ~time:(now ())
-                      ~detail:
-                        (Dyno_obs.Lineage.detailf lin
-                           "dependency cycle merged at cross-shard barrier: \
-                            %d update(s) now one batch"
-                           (List.length ids)))
-                  r.Dep_graph.merged_members;
-                Query_engine.advance w
-                  (Cost_model.correct cost ~nodes:(Dep_graph.size g)
-                     ~edges:(List.length (Dep_graph.edges g)));
-                ( r.Dep_graph.order,
-                  r.Dep_graph.merged_cycles,
-                  r.Dep_graph.merged_updates,
-                  List.concat_map Umq.entry_ids r.Dep_graph.order
-                  <> List.concat_map Umq.entry_ids snapshot )
+                Some
+                  (Dep_graph.build (View_def.peek vd) (View_def.schemas vd)
+                     snapshot)
           in
-          if reordered then begin
-            stats.Stats.corrections <- stats.Stats.corrections + 1;
-            Trace.recordf trace ~time:(now ()) Trace.Correct
-              "cross-shard barrier: legal order over %d entr%s" nn
-              (if nn = 1 then "y" else "ies")
-          end;
-          if merged_cycles > 0 then begin
-            stats.Stats.merges <- stats.Stats.merges + merged_cycles;
-            Trace.recordf trace ~time:(now ()) Trace.Merge
-              "%d cycle(s) merged (%d update(s))" merged_cycles merged_updates
-          end;
+          Scheduler.detect_pass w ~nodes:nn (Cost_model.detect cost ~n:nn ~m);
+          (match g with
+          | Some g ->
+              Trace.recordf trace ~time:(now ()) Trace.Detect
+                "cross-shard barrier graph: %d node(s), %d edge(s), %d unsafe"
+                (Dep_graph.size g)
+                (List.length (Dep_graph.edges g))
+                (Dep_graph.unsafe_count g)
+          | None ->
+              Trace.recordf trace ~time:(now ()) Trace.Detect
+                "cross-shard barrier: %d entr%s, %d schema change(s)" nn
+                (if nn = 1 then "y" else "ies")
+                m);
+          let order =
+            Scheduler.correct_pass w (fun tc ->
+                let order, merged_cycles, merged_updates, reordered =
+                  match g with
+                  | None ->
+                      (* The strawman collapses everything it can see —
+                         here, the whole cross-shard snapshot — into one
+                         batch. *)
+                      if List.length msgs > 1 then begin
+                        Dyno_obs.Lineage.merged lin
+                          ~ids:(List.map Update_msg.id msgs)
+                          ~time:tc
+                          ~detail:
+                            (Dyno_obs.Lineage.detailf lin
+                               "merge-all at cross-shard barrier: %d \
+                                update(s) collapsed into one batch"
+                               (List.length msgs));
+                        ([ Umq.Batch msgs ], 1, List.length msgs, true)
+                      end
+                      else (snapshot, 0, 0, false)
+                  | Some g ->
+                      Scheduler.edge_provenance lin ~time:tc g;
+                      let r = Dep_graph.correct g in
+                      List.iter
+                        (fun ids ->
+                          Dyno_obs.Lineage.merged lin ~ids ~time:tc
+                            ~detail:
+                              (Dyno_obs.Lineage.detailf lin
+                                 "dependency cycle merged at cross-shard \
+                                  barrier: %d update(s) now one batch"
+                                 (List.length ids)))
+                        r.Dep_graph.merged_members;
+                      Query_engine.advance w
+                        (Cost_model.correct cost ~nodes:(Dep_graph.size g)
+                           ~edges:(List.length (Dep_graph.edges g)));
+                      ( r.Dep_graph.order,
+                        r.Dep_graph.merged_cycles,
+                        r.Dep_graph.merged_updates,
+                        List.concat_map Umq.entry_ids r.Dep_graph.order
+                        <> List.concat_map Umq.entry_ids snapshot )
+                in
+                if reordered then begin
+                  stats.Stats.corrections <- stats.Stats.corrections + 1;
+                  Trace.recordf trace ~time:(now ()) Trace.Correct
+                    "cross-shard barrier: legal order over %d entr%s" nn
+                    (if nn = 1 then "y" else "ies")
+                end;
+                Scheduler.note_merges w stats ~merged_cycles ~merged_updates;
+                (reordered, order))
+          in
           stats.Stats.busy <- stats.Stats.busy +. (now () -. t0);
           let last_sc =
             List.fold_left

@@ -307,11 +307,14 @@ let snapshot_at_uncached s ~version =
   (!catalog, tables)
 
 (** Memoizing wrapper: a past version's state never changes retroactively
-    (commits only append), so reconstructions are cached.  Repeated probes
-    at the same old version — the strong-consistency replay, concurrent
-    readers pinned to a snapshot — pay the undo walk once, and the indexes
-    they build on the cached extents persist across probes.  Callers must
-    treat the returned state as read-only. *)
+    (commits only append), so reconstructions are cached.  Repeated reads
+    at the same old version — the self-maintenance tier re-seeding its
+    projections at a delivered frontier, readers pinned to a snapshot — pay
+    the undo walk once, and the indexes they build on the cached extents
+    persist across reads.  The strong-consistency replay takes one private
+    copy per source (at version 0) and per source schema change, and walks
+    data updates forward itself.  Callers must treat the returned state as
+    read-only. *)
 let snapshot_at s ~version =
   if version > s.version || version < 0 then
     invalid_arg

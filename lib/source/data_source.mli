@@ -83,8 +83,10 @@ val snapshot_at : t -> version:int -> Catalog.t * (string, Relation.t) Hashtbl.t
 (** Full state at a version, reconstructed by undoing history (schema
     changes keep pre-images, so it is exact).  Reconstructions are
     memoized per version — a past version never changes retroactively —
-    so repeated probes at the same version are O(1) after the first, and
-    indexes built on the cached extents persist across probes.  Treat the
+    so repeated reads at the same version are O(1) after the first, and
+    indexes built on the cached extents persist across reads.  The
+    strong-consistency replay copies one state per source and per schema
+    change and applies data updates forward from {!history}.  Treat the
     returned state as {b read-only}: it is shared between callers.
     @raise Invalid_argument when out of range. *)
 

@@ -4,16 +4,24 @@
     is updated and a commit record appended.  {!refresh} mutates the
     extent in place, in O(|delta|), so the relation {!extent} returns is
     the live storage.  When [track_snapshots] is on (tests, consistency
-    checking), each commit also stores a full copy of the extent so that
-    strong consistency can be verified offline. *)
+    checking), the view keeps a copy of its initial extent and each commit
+    records what it did to the extent — nothing, a copy of the applied
+    delta, or a copy of the installed extent — so that strong consistency
+    can be verified offline by folding the log forward, at O(|delta|) per
+    commit. *)
 
 open Dyno_relational
+
+type change =
+  | Unchanged  (** {!record_commit}: the extent did not move *)
+  | Delta of Relation.t  (** {!refresh}: a copy of the applied delta *)
+  | Replaced of Relation.t  (** {!replace}: a copy of the new extent *)
 
 type commit = {
   at : float;  (** simulated commit time *)
   def_version : int;  (** view-definition version the commit was built on *)
   maintained : int list;  (** update-message ids integrated by this commit *)
-  snapshot : Relation.t option;
+  change : change option;  (** what the commit did (when tracking) *)
   def_snapshot : (Query.t * (string * Schema.t) list) option;
       (** definition + believed schemas at commit time (when tracking) *)
 }
@@ -23,6 +31,7 @@ type t = {
   mutable extent : Relation.t;
   mutable commits : commit list;  (** newest first *)
   track_snapshots : bool;
+  initial : Relation.t option;  (** copy of the extent at creation *)
   applied : (string, int * float) Hashtbl.t;
       (** applied frontier: per source, the highest source version this
           view has integrated (or trivially reflects) and the simulated
@@ -31,7 +40,14 @@ type t = {
 }
 
 let create ?(track_snapshots = false) def extent =
-  { def; extent; commits = []; track_snapshots; applied = Hashtbl.create 8 }
+  {
+    def;
+    extent;
+    commits = [];
+    track_snapshots;
+    initial = (if track_snapshots then Some (Relation.copy extent) else None);
+    applied = Hashtbl.create 8;
+  }
 
 let def v = v.def
 let extent v = v.extent
@@ -42,19 +58,27 @@ let commit_count v = List.length v.commits
 (** Commits in chronological order. *)
 let commits v = List.rev v.commits
 
-let record_commit v ~at ~maintained =
+let initial v = v.initial
+
+(* Append a commit record.  Callers pass [change = None] when tracking
+   is off, so an untracked view never copies anything. *)
+let log_commit v ~at ~maintained change =
   v.commits <-
     {
       at;
       def_version = View_def.version v.def;
       maintained;
-      snapshot = (if v.track_snapshots then Some (Relation.copy v.extent) else None);
+      change;
       def_snapshot =
         (if v.track_snapshots then
            Some (View_def.peek v.def, View_def.schemas v.def)
          else None);
     }
     :: v.commits
+
+let record_commit v ~at ~maintained =
+  log_commit v ~at ~maintained
+    (if v.track_snapshots then Some Unchanged else None)
 
 (** [refresh v ~at ~maintained delta] applies a signed delta to the extent
     in place and commits — the w(MV) c(MV) of a VM process.  The cost is
@@ -66,14 +90,16 @@ let record_commit v ~at ~maintained =
     extent and the commit log are left untouched. *)
 let refresh v ~at ~maintained delta =
   Relation.apply_delta_in_place v.extent delta;
-  record_commit v ~at ~maintained
+  log_commit v ~at ~maintained
+    (if v.track_snapshots then Some (Delta (Relation.copy delta)) else None)
 
 (** [replace v ~at ~maintained extent] installs a whole new extent — used
     by view adaptation when the definition itself changed shape.  The view
     takes ownership: later refreshes mutate [extent]. *)
 let replace v ~at ~maintained extent =
   v.extent <- extent;
-  record_commit v ~at ~maintained
+  log_commit v ~at ~maintained
+    (if v.track_snapshots then Some (Replaced (Relation.copy extent)) else None)
 
 (** [note_applied v ~source ~version ~commit_time] advances the applied
     frontier for [source] (monotone: a stale redelivery never moves it

@@ -1,8 +1,10 @@
 (** The materialized view: extent storage plus a commit log.  Every
     successful maintenance process ends with w(MV) c(MV); with snapshot
-    tracking on, each commit stores a full copy of the extent and the
-    definition it was built on, so strong consistency can be verified
-    offline.
+    tracking on, the view keeps a copy of its initial extent and each
+    commit records its {!change} to the extent (O(|delta|) for a refresh)
+    and the definition it was built on, so strong consistency can be
+    verified offline by folding the log forward.  With tracking off
+    nothing is copied.
 
     The extent is refreshed {e in place}: {!extent} returns the live
     storage, which later refreshes mutate.  A reader that needs the value
@@ -10,11 +12,20 @@
 
 open Dyno_relational
 
+(** What one commit did to the extent.  The relations are private
+    copies taken at commit time; the extent after commit [k] is the
+    {!initial} extent with every change up to [k] applied in order (a
+    [Delta] is added, a [Replaced] overwrites). *)
+type change =
+  | Unchanged  (** {!record_commit} *)
+  | Delta of Relation.t  (** {!refresh}: the applied signed delta *)
+  | Replaced of Relation.t  (** {!replace}: the installed extent *)
+
 type commit = {
   at : float;  (** simulated commit time *)
   def_version : int;  (** view-definition version the commit was built on *)
   maintained : int list;  (** update-message ids integrated by this commit *)
-  snapshot : Relation.t option;
+  change : change option;  (** [None] when tracking is off *)
   def_snapshot : (Query.t * (string * Schema.t) list) option;
 }
 
@@ -31,6 +42,10 @@ val commit_count : t -> int
 
 val commits : t -> commit list
 (** Chronological order. *)
+
+val initial : t -> Relation.t option
+(** A copy of the extent the view was created with, when tracking is on:
+    the base the commit log's changes fold onto. *)
 
 val record_commit : t -> at:float -> maintained:int list -> unit
 (** Commit without an extent change (irrelevant updates, no-op batches). *)

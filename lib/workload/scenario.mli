@@ -17,7 +17,8 @@ module Config : sig
     rows : int;  (** tuples loaded per relation *)
     cost : Dyno_sim.Cost_model.t;
     track_snapshots : bool;
-        (** retain per-commit view snapshots (consistency checkers) *)
+        (** record each view commit's change to the extent (the strong
+            consistency checker replays it) *)
     trace_enabled : bool;
     faults : Dyno_net.Channel.faults;
         (** wrapper→UMQ transport faults (reliable by default) *)

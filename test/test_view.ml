@@ -114,7 +114,10 @@ let test_mat_view () =
   Alcotest.(check int) "one commit" 1 (Mat_view.commit_count mv);
   (match Mat_view.commits mv with
   | [ c ] ->
-      Alcotest.(check bool) "snapshot taken" true (c.Mat_view.snapshot <> None);
+      Alcotest.(check bool) "change recorded" true
+        (match c.Mat_view.change with
+        | Some (Mat_view.Delta _) -> true
+        | _ -> false);
       Alcotest.(check (list int)) "maintained ids" [ 0 ] c.Mat_view.maintained
   | _ -> Alcotest.fail "one commit expected");
   (* deleting a non-existent tuple trips the guard *)
@@ -198,11 +201,8 @@ let test_rejected_refresh_changes_nothing () =
 let test_snapshots_survive_refresh () =
   let mv = kv_view () in
   refresh_three mv;
-  let snapshots =
-    List.map
-      (fun (c : Mat_view.commit) -> Option.get c.Mat_view.snapshot)
-      (Mat_view.commits mv)
-  in
+  (* The extent after each commit, folded from the change log. *)
+  let snapshots = List.map Option.get (Strong_ref.extents mv) in
   let expected =
     [
       kv_delta [ (1, 10, 1); (2, 20, 1); (3, 30, 1) ];
